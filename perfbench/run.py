@@ -2,7 +2,8 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload sim-128 --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload sim-128 --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 20 --trace 0
 
 The workload runs in worker processes (perfbench/worker.py), one at a time,
 with QFLOW_THREADS=1 and BLAS pinned to one thread; each worker runs rounds
@@ -16,7 +17,10 @@ speed_probe.py.
 
 Every round's outputs are checked (see workloads.py).  Human-readable lines
 come first; the last line of standard output is one JSON object with the
-keys correct, attempted, failed and metrics.  See perfbench/README.md.
+keys correct, attempted, failed and metrics.  `--workload all` runs the four
+workloads in turn, prints each one's result on a `result <name>` line, and
+ends with their combined result, metrics named `<workload>.<metric>`.  See
+perfbench/README.md.
 """
 
 from __future__ import annotations
@@ -253,7 +257,7 @@ def machine_facts() -> str:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS) + ["all"])
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=int, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -264,8 +268,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: no qflow sources under {ROOT / 'src' / 'qflow'}", file=sys.stderr)
         return 2
     print(machine_facts())
-    result, _ = run(WORKLOADS[args.workload], args.seed, args.seconds, bool(args.trace))
-    print(json.dumps(result))
+    if args.workload != "all":
+        result, _ = run(WORKLOADS[args.workload], args.seed, args.seconds, bool(args.trace))
+        print(json.dumps(result))
+        return 0
+    results = {}
+    for name, wl in WORKLOADS.items():
+        print(f"== workload {name}")
+        results[name], _ = run(wl, args.seed, args.seconds, bool(args.trace))
+        print(f"result {name} {json.dumps(results[name])}")
+    print(json.dumps({
+        "correct": all(r["correct"] for r in results.values()),
+        "attempted": sum(r["attempted"] for r in results.values()),
+        "failed": sum(r["failed"] for r in results.values()),
+        "metrics": {f"{name}.{k}": m for name, r in results.items() for k, m in r["metrics"].items()}}))
     return 0
 
 
