@@ -27,7 +27,7 @@ from .qtensor import (
     vorticity_mat,
 )
 from .spectral import Grid, random_scalar, random_velocity
-from .timestepping import TimeConfig, Trajectory, TwinDiff, run
+from .timestepping import TimeConfig, Trajectory, run
 
 DENOM_FLOOR = 1e-30
 
@@ -102,7 +102,7 @@ def cancellation_check(grid: Grid, q1: np.ndarray, q2: np.ndarray, u: np.ndarray
     om = vorticity_mat(grid, u)
     g3 = velocity_gradient(grid, u)
     m2 = q_to_mat(q2)
-    lap1 = q_to_mat(grid.ifft(grid.laplacian_hat(grid.fft(q1))))
+    lap1 = q_to_mat(grid.laplacian(q1))
 
     t1 = grid.integral(np.trace((om @ m2 - m2 @ om) @ lap1, axis1=-2, axis2=-1))
     t2 = grid.integral(np.trace((lap1 @ m2 - m2 @ lap1) @ g3, axis1=-2, axis2=-1))
@@ -143,11 +143,9 @@ def transport_cancellation_check(grid: Grid, trials: int = 100, seed: int = 0,
     for _ in range(trials):
         u = random_velocity(grid, rng)
         q = random_qtensor(grid, rng)
-        uh = grid.fft(u)
-        qh = grid.fft(q)
-        gradu = np.stack([grid.ifft(grid.deriv_hat(uh, ax)) for ax in (1, 2)])
+        gradu = np.stack(grid.grad(u))
         adv_u = u[0] * gradu[0] + u[1] * gradu[1]
-        gradq = np.stack([grid.ifft(grid.deriv_hat(qh, ax)) for ax in (1, 2)])
+        gradq = np.stack(grid.grad(q))
         adv_q = u[0] * gradq[0] + u[1] * gradq[1]
         om = vorticity_mat(grid, u)
         m = q_to_mat(q)
@@ -240,9 +238,8 @@ def commutator_estimate_check(grid: Grid, trials: int = 100, seed: int = 0,
         qp = int(np.clip(q + rng.integers(-1, 2), part.q_min, part.q_max))
         comm = commutator(part, a, f, q, qp)
         grada = np.stack(grid.grad(a))
-        sgrada = grid.ifft(part.lowpass_multiplier(qp - 1) * grid.fft(grada))
-        rhs = 2.0 ** (-q) * grid.norm_lp(sgrada, np.inf) * grid.norm_l2(
-            grid.ifft(part.phi[qp] * grid.fft(f)))
+        sgrada = part.lowpass(grada, qp - 1)
+        rhs = 2.0 ** (-q) * grid.norm_lp(sgrada, np.inf) * grid.norm_l2(part.block(f, qp))
         if rhs > DENOM_FLOOR:
             cfit = max(cfit, grid.norm_l2(comm) / rhs)
     base = _baseline("commutator_estimate", "C", grid, baseline)
@@ -308,7 +305,7 @@ def linf_interp_check(grid: Grid, s: float = 0.5, n_range: range = range(1, 11),
     cfit = 0.0
     for _ in range(trials):
         f = random_scalar(grid, rng)
-        fh = grid.fft(f)
+        fh = grid.rfft(f)
         linf = float(np.abs(f).max())
         l2 = grid.norm_l2(f)
         h1 = grid.sobolev_multiplier_norm(fh, 1.0, homogeneous=False)
@@ -337,13 +334,12 @@ def force_estimate_check(grid: Grid, p: ModelParams, s: float = 0.5,
     vacuous = True
     for _ in range(trials):
         q = random_qtensor(grid, rng) * rng.uniform(0.1, 2.0)
-        qh = grid.fft(q)
+        qh = grid.rfft(q)
         pq = bulk_force(q, p)  # pointwise bulk algebra, no dealiasing
-        lapq = grid.ifft(grid.laplacian_hat(qh))
         w = part.sobolev_weight(s)
-        lhs = grid.inner_hat(grid.fft(pq), grid.fft(lapq), w)
-        gradq = np.stack([grid.ifft(grid.deriv_hat(qh, ax)) for ax in (1, 2)])
-        gq2 = grid.inner_hat(grid.fft(gradq), grid.fft(gradq), w)
+        lhs = grid.inner_hat(grid.rfft(pq), grid.laplacian_hat(qh), w)
+        gradh = np.stack([grid.deriv_hat(qh, ax) for ax in (1, 2)])
+        gq2 = grid.inner_hat(gradh, gradh, w)
         h2 = grid.sobolev_multiplier_norm(qh, 2.0, homogeneous=False)
         rhs = (1.0 + h2 + h2**2) * gq2
         if rhs > DENOM_FLOOR:
@@ -517,7 +513,7 @@ def osgood_check(traj: Trajectory, s: float = 0.5) -> OsgoodDiagnostics:
 # -- twin-run checks ------------------------------------------------------------------
 
 
-def gronwall_majorant(diff: TwinDiff) -> np.ndarray:
+def gronwall_majorant(diff: Trajectory) -> np.ndarray:
     """The explicit rate assembled from the background-solution norms.
 
     One fixed assembly of the L2/H1/lap-level norm products appearing in
@@ -542,7 +538,7 @@ def gronwall_majorant(diff: TwinDiff) -> np.ndarray:
     return chi
 
 
-def uniqueness_check(diff: TwinDiff, zero_floor: float = 1e-28) -> Report:
+def uniqueness_check(diff: Trajectory, zero_floor: float = 1e-28) -> Report:
     """Gronwall envelope Phi(t) <= Phi(0) exp(C int chi) with one fitted C.
 
     Identical-data twins report the Phi == 0 branch; perturbed twins fit
@@ -573,7 +569,7 @@ def uniqueness_check(diff: TwinDiff, zero_floor: float = 1e-28) -> Report:
     )
 
 
-def difference_regularity_check(diff: TwinDiff) -> Report:
+def difference_regularity_check(diff: Trajectory) -> Report:
     """Finiteness of sup_t of the weak-norm differences plus interpolation.
 
     Reports sup ||du||_{H^-1/2}, sup ||grad dQ||_{H^-1/2} and the fitted C

@@ -13,8 +13,8 @@ from pathlib import Path
 from . import checks
 from .config import ConfigError, RunConfig, build_initial_state, parse_config
 from .dyadic import DyadicPartition, NormSpec
-from .qtensor import ModelParams
-from .snapshots import emit_series, read_series, read_snapshot, write_snapshot
+from .qtensor import ModelParams, State
+from .snapshots import emit_series, read_series, read_snapshot, write_csv, write_snapshot
 from .spectral import Grid
 from .timestepping import BlowUpError, Perturbation, Trajectory, run, twin_run
 
@@ -29,23 +29,36 @@ def _load_config(path: str) -> RunConfig:
         raise SystemExit(f"error: {err}")
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def _prepare_run(args: argparse.Namespace) -> tuple[RunConfig, Grid, State, Path]:
+    """Config, grid, initial state and output directory of simulate/twin."""
     cfg = _load_config(args.config)
-    grid = Grid(cfg.n, cfg.length)
-    init = build_initial_state(cfg, grid)
+    try:
+        grid = Grid(cfg.n, cfg.length)
+        init = build_initial_state(cfg, grid)
+    except (OSError, ValueError) as err:
+        raise SystemExit(f"error: {err}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.cfg").write_text(Path(args.config).read_text())
+    return cfg, grid, init, out
 
+
+def _abort(err: BlowUpError, path: Path) -> int:
+    """Report an aborted run and flush its partial series to path."""
+    print(f"ABORT {err}", file=sys.stderr)
+    if err.partial is not None and len(err.partial[0]) > 0:
+        emit_series(path, *err.partial)
+        print(f"flushed partial series to {path}", file=sys.stderr)
+    return 1
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    cfg, grid, init, out = _prepare_run(args)
+    (out / "config.cfg").write_text(Path(args.config).read_text())
     try:
         traj = run(grid, init, cfg.params, cfg.time,
                    hs_probes=cfg.hs_probes, state_stride=cfg.snapshot_stride)
     except BlowUpError as err:
-        print(f"ABORT {err}", file=sys.stderr)
-        if err.partial is not None and len(err.partial[0]) > 0:
-            emit_series(out / "series.csv", *err.partial)
-            print(f"flushed partial series to {out / 'series.csv'}", file=sys.stderr)
-        return 1
+        return _abort(err, out / "series.csv")
     emit_series(out / "series.csv", traj.times, traj.series)
     for state in traj.states[:-1]:
         write_snapshot(out / f"snap_t{state.t:012.6f}.qtns", grid, cfg.params, state)
@@ -57,14 +70,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_twin(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    grid = Grid(cfg.n, cfg.length)
-    init = build_initial_state(cfg, grid)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    diff = twin_run(grid, init, Perturbation(args.eps, seed=args.seed), cfg.params, cfg.time)
-    emit_series(out / f"twin_eps{args.eps:g}_seed{args.seed}.csv", diff.times, diff.series)
+    cfg, grid, init, out = _prepare_run(args)
+    path = out / f"twin_eps{args.eps:g}_seed{args.seed}.csv"
+    try:
+        diff = twin_run(grid, init, Perturbation(args.eps, seed=args.seed), cfg.params, cfg.time)
+    except BlowUpError as err:
+        return _abort(err, path)
+    emit_series(path, diff.times, diff.series)
     reports = [checks.uniqueness_check(diff), checks.difference_regularity_check(diff)]
     for rep in reports:
         print(rep)
@@ -111,10 +123,7 @@ def _write_reports(path: Path, reports) -> None:
     keys: list[str] = []
     for row in rows:
         keys += [k for k in row if k not in keys]
-    with open(path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row.get(k, "")) for k in keys) + "\n")
+    write_csv(path, keys, ([row.get(k, "") for k in keys] for row in rows))
 
 
 def cmd_check(args: argparse.Namespace) -> int:

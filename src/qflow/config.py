@@ -190,7 +190,11 @@ def build_initial_state(cfg: RunConfig, grid: Grid) -> State:
     if cfg.snapshot is not None:
         from .snapshots import read_snapshot
 
-        _, _, state = read_snapshot(cfg.snapshot)
+        snap_grid, _, state = read_snapshot(cfg.snapshot)
+        if (snap_grid.n, snap_grid.length) != (cfg.n, cfg.length):
+            raise ConfigError(
+                f"snapshot {cfg.snapshot} has grid n={snap_grid.n} len={snap_grid.length!r}, "
+                f"but [grid] sets n={cfg.n} len={cfg.length!r}")
         return state
     if cfg.preset == "taylor_green":
         return State(taylor_green(grid, cfg.amplitude_u), np.zeros((5, grid.n, grid.n)))

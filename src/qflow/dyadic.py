@@ -10,7 +10,8 @@ g(x) = h(x)/(h(x)+h(1-x)) and h(x) = exp(-1/x) for x > 0.  Block indices
 are truncated to the band [q_min, q_max] resolvable on the grid; every
 block outside that band vanishes identically on the lattice, so all the
 telescoping identities below are exact.  The homogeneous calculus acts on
-mean-zero fields; zero modes are dropped by every multiplier.
+mean-zero fields; zero modes are dropped by every multiplier.  All
+multiplier tables share the grid's half-spectrum shape (n, n//2+1).
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ class DyadicPartition:
             q: chi_profile(g.kmag * 2.0 ** (-q - 1)) - chi_profile(g.kmag * 2.0 ** (-q))
             for q in range(self.q_min, self.q_max + 1)
         }
-        half = g.n // 2 + 1
-        self.phi_r = {q: p[:, :half] for q, p in self.phi.items()}
         self._weights: dict[float, np.ndarray] = {}
 
     @property
@@ -87,14 +86,10 @@ class DyadicPartition:
 
     def block(self, f: np.ndarray, q: int) -> np.ndarray:
         self.require_q(q)
-        return self.grid.ifft(self.phi[q] * self.grid.fft(f))
+        return self.grid.irfft(self.phi[q] * self.grid.rfft(f))
 
     def lowpass(self, f: np.ndarray, j: int) -> np.ndarray:
-        return self.grid.ifft(self.lowpass_multiplier(j) * self.grid.fft(f))
-
-    def blocks(self, fh: np.ndarray) -> dict[int, np.ndarray]:
-        """All resolved blocks of a spectral field, as real fields."""
-        return {q: self.grid.ifft(self.phi[q] * fh) for q in self.qs}
+        return self.grid.irfft(self.lowpass_multiplier(j) * self.grid.rfft(f))
 
     # -- norms and inner products ----------------------------------------------
 
@@ -108,13 +103,12 @@ class DyadicPartition:
             self._weights[s] = w
         return w
 
-    def sobolev_weight_r(self, s: float) -> np.ndarray:
-        """Half-spectrum slice of the weight table (rfft layout)."""
-        return self.sobolev_weight(s)[:, : self.grid.n // 2 + 1]
-
     def hs_inner(self, f: np.ndarray, g: np.ndarray, s: float) -> float:
-        """<f, g>_{H^s} = sum_q 2^(2qs) <block_q f, block_q g>_{L^2}."""
-        return self.grid.inner_hat(self.grid.fft(f), self.grid.fft(g), self.sobolev_weight(s))
+        """<f, g>_{H^s} = sum_q 2^(2qs) <block_q f, block_q g>_{L^2}.
+
+        The symmetric bilinear form whose induced norm is besov_norm(., (s,2,2)).
+        """
+        return self.grid.inner_hat(self.grid.rfft(f), self.grid.rfft(g), self.sobolev_weight(s))
 
     def hs_norm2(self, f: np.ndarray, s: float) -> float:
         return max(self.hs_inner(f, f, s), 0.0)
@@ -126,18 +120,14 @@ class DyadicPartition:
         """Lattice-truncated homogeneous Besov norm."""
         if subtract_mean:
             f = self.grid.zero_mean(f)
-        fh = self.grid.fft(f)
+        fh = self.grid.rfft(f)
         seq = np.array(
-            [2.0 ** (spec.s * q) * self.grid.norm_lp(self.grid.ifft(self.phi[q] * fh), spec.p)
+            [2.0 ** (spec.s * q) * self.grid.norm_lp(self.grid.irfft(self.phi[q] * fh), spec.p)
              for q in self.qs]
         )
         if spec.r == np.inf:
             return float(seq.max(initial=0.0))
         return float(np.sum(seq**spec.r) ** (1.0 / spec.r))
-
-    def sobolev_inner(self, f: np.ndarray, g: np.ndarray, s: float) -> float:
-        """Symmetric bilinear form whose induced norm is besov_norm(., (s,2,2))."""
-        return self.hs_inner(f, g, s)
 
     # -- Bony paraproduct -------------------------------------------------------
 
@@ -150,8 +140,8 @@ class DyadicPartition:
         f = self.grid.zero_mean(f)
         g = self.grid.zero_mean(g)
         fh, gh = self.grid.rfft(f), self.grid.rfft(g)
-        bf = {q: self.grid.irfft(self.phi_r[q] * fh) for q in self.qs}
-        bg = {q: self.grid.irfft(self.phi_r[q] * gh) for q in self.qs}
+        bf = {q: self.grid.irfft(self.phi[q] * fh) for q in self.qs}
+        bg = {q: self.grid.irfft(self.phi[q] * gh) for q in self.qs}
         sf = self._prefix_sums(bf)
         sg = self._prefix_sums(bg)
 
@@ -214,8 +204,9 @@ class SymDecompContext:
         self.b = g.zero_mean(b)
         self.ah = g.rfft(self.a)
         self.bh = g.rfft(self.b)
-        self.block_a = {q: g.irfft(part.phi_r[q] * self.ah) for q in part.qs}
-        self.block_b = {q: g.irfft(part.phi_r[q] * self.bh) for q in part.qs}
+        self.ab_hat = g.rfft(_mul(self.a, self.b))
+        self.block_a = {q: g.irfft(part.phi[q] * self.ah) for q in part.qs}
+        self.block_b = {q: g.irfft(part.phi[q] * self.bh) for q in part.qs}
         self.sa = part._prefix_sums(self.block_a)
         self.sb = part._prefix_sums(self.block_b)
         # transforms of S_{q'-1}A block_{q'}B and block_{q'}A S_{q'+2}B, per q'
@@ -227,22 +218,21 @@ class SymDecompContext:
         window = [qp for qp in part.qs if abs(q - qp) <= 5]
 
         psum = sum(self.p_hat[qp] for qp in window)
-        j1 = g.irfft(part.phi_r[q] * psum)
+        j1 = g.irfft(part.phi[q] * psum)
         j2 = np.zeros_like(j1)
         for qp in window:
             if abs(q - qp) <= 1:  # block_q block_q' vanishes otherwise
-                dd = g.irfft(part.phi_r[q] * part.phi_r[qp] * self.bh)
+                dd = g.irfft(part.phi[q] * part.phi[qp] * self.bh)
                 j1 -= _mul(self.sa[qp - 2], dd)
                 j2 += _mul(self.sa[qp - 2] - self.sa[q - 2], dd)
         j3 = _mul(self.sa[q - 2], self.block_b[q])
         rsum = sum(self.r_hat[qp] for qp in part.qs if qp >= q - 5)
-        j4 = g.irfft(part.phi_r[q] * rsum)
+        j4 = g.irfft(part.phi[q] * rsum)
         return j1, j2, j3, j4
 
     def block_product(self, q: int) -> np.ndarray:
         """block_q(AB), the left-hand side of the reconstruction identity."""
-        g = self.grid
-        return g.irfft(self.part.phi_r[q] * g.rfft(_mul(self.a, self.b)))
+        return self.grid.irfft(self.part.phi[q] * self.ab_hat)
 
 
 def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -261,10 +251,10 @@ def commutator(
     part.require_q(q)
     part.require_q(qp)
     g = part.grid
-    sa = g.ifft(part.lowpass_multiplier(qp - 1) * g.fft(g.zero_mean(a)))
-    bf = g.ifft(part.phi[qp] * g.fft(f))
-    first = g.ifft(part.phi[q] * g.fft(_mul(sa, bf)))
-    second = _mul(sa, g.ifft(part.phi[q] * part.phi[qp] * g.fft(f)))
+    sa = g.irfft(part.lowpass_multiplier(qp - 1) * g.rfft(g.zero_mean(a)))
+    fh = g.rfft(f)
+    first = g.irfft(part.phi[q] * g.rfft(_mul(sa, g.irfft(part.phi[qp] * fh))))
+    second = _mul(sa, g.irfft(part.phi[q] * part.phi[qp] * fh))
     return first - second
 
 
@@ -280,12 +270,12 @@ def neg_index_equiv(
         raise ValueError(f"negative regularity index required, got s={spec.s}")
     g = part.grid
     f = g.zero_mean(f)
-    fh = g.fft(f)
+    fh = g.rfft(f)
     block_seq = np.array(
-        [2.0 ** (spec.s * q) * g.norm_lp(g.ifft(part.phi[q] * fh), spec.p) for q in part.qs]
+        [2.0 ** (spec.s * q) * g.norm_lp(g.irfft(part.phi[q] * fh), spec.p) for q in part.qs]
     )
     low_seq = np.array(
-        [2.0 ** (spec.s * q) * g.norm_lp(g.ifft(part.lowpass_multiplier(q) * fh), spec.p)
+        [2.0 ** (spec.s * q) * g.norm_lp(g.irfft(part.lowpass_multiplier(q) * fh), spec.p)
          for q in part.qs]
     )
     if spec.r == np.inf:

@@ -1,4 +1,4 @@
-"""Q-tensor algebra and the coupled Q/velocity right-hand sides.
+"""Q-tensor algebra and the coupled Q/velocity nonlinear right-hand side.
 
 The order parameter is a symmetric traceless 3x3 matrix field stored as
 five coefficient planes in the fixed orthonormal Frobenius basis
@@ -129,8 +129,8 @@ def velocity_gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
     uh = grid.rfft(u)
     g = np.zeros((n, n, 3, 3))
     for j in range(2):
-        g[..., 0, j] = grid.irfft(grid.deriv_hat_r(uh[j], 1))
-        g[..., 1, j] = grid.irfft(grid.deriv_hat_r(uh[j], 2))
+        g[..., 0, j] = grid.irfft(grid.deriv_hat(uh[j], 1))
+        g[..., 1, j] = grid.irfft(grid.deriv_hat(uh[j], 2))
     return g
 
 
@@ -160,11 +160,6 @@ def bulk_force(q: np.ndarray, p: ModelParams, grid: Grid | None = None) -> np.nd
     return -p.a * q + p.b * q2 - p.c * cubic
 
 
-def molecular_field(grid: Grid, q: np.ndarray, p: ModelParams, dealias: bool = True) -> np.ndarray:
-    """Bulk force plus the elastic relaxation term L*Laplacian(Q)."""
-    return bulk_force(q, p, grid if dealias else None) + p.L * grid.laplacian(q)
-
-
 def corotation(grid: Grid, q: np.ndarray, u: np.ndarray, dealias: bool = True) -> np.ndarray:
     """Commutator Omega Q - Q Omega rotating the tensor with the flow."""
     om = vorticity_mat(grid, u)
@@ -176,7 +171,7 @@ def corotation(grid: Grid, q: np.ndarray, u: np.ndarray, dealias: bool = True) -
 def advect(grid: Grid, u: np.ndarray, f: np.ndarray, dealias: bool = True) -> np.ndarray:
     """Transport term u . grad f for a field of any component count."""
     fh = grid.rfft(f)
-    out = u[0] * grid.irfft(grid.deriv_hat_r(fh, 1)) + u[1] * grid.irfft(grid.deriv_hat_r(fh, 2))
+    out = u[0] * grid.irfft(grid.deriv_hat(fh, 1)) + u[1] * grid.irfft(grid.deriv_hat(fh, 2))
     return grid.dealias(out) if dealias else out
 
 
@@ -187,8 +182,8 @@ def stress_tensor(grid: Grid, q: np.ndarray, dealias: bool = True) -> np.ndarray
     tr(d_i Q d_j Q).  Shape (2, 2, n, n).
     """
     qh = grid.rfft(q)
-    lap = grid.irfft(grid.laplacian_hat_r(qh))
-    dq = (grid.irfft(grid.deriv_hat_r(qh, 1)), grid.irfft(grid.deriv_hat_r(qh, 2)))
+    lap = grid.irfft(grid.laplacian_hat(qh))
+    dq = (grid.irfft(grid.deriv_hat(qh, 1)), grid.irfft(grid.deriv_hat(qh, 2)))
 
     m = q_to_mat(q)
     lm = q_to_mat(lap)
@@ -208,69 +203,27 @@ def elastic_stress_div(grid: Grid, q: np.ndarray, p: ModelParams) -> np.ndarray:
     corotation and stress contributions to the energy cancel exactly.
     """
     sh = grid.rfft(stress_tensor(grid, q, dealias=False))
-    sh = sh * grid.dealias_mask_r
+    sh = sh * grid.dealias_mask
     out = np.empty((2, grid.n, grid.n))
     for j in range(2):
-        out[j] = grid.irfft(grid.deriv_hat_r(sh[0, j], 1) + grid.deriv_hat_r(sh[1, j], 2))
+        out[j] = grid.irfft(grid.deriv_hat(sh[0, j], 1) + grid.deriv_hat(sh[1, j], 2))
     return p.L * out
 
 
-def tensor_rhs(grid: Grid, s: State, p: ModelParams) -> np.ndarray:
-    """Full right-hand side of the Q equation.
+def nonlinear(grid: Grid, s: State, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Non-stiff right-hand sides (N_u, N_Q) for the integrating-factor scheme.
 
-    d_t Q = -u.grad(Q) + Omega Q - Q Omega + gamma (P(Q) + L lap Q);
-    with a Friedrichs index set, the transport velocity is annulus-cut
-    before entering the products, exactly as in the truncated system.
+    N_Q = -u.grad(Q) + Omega Q - Q Omega + gamma P(Q) and
+    N_u = P[-u.grad(u) + L div{...}], Leray-projected and mean-zero; the
+    stiff terms nu lap(u) and gamma L lap(Q) are the stepper's.  With a
+    Friedrichs index n the transport velocity is annulus-cut once and the
+    momentum nonlinearities are wrapped as J_n P(...), as in the truncated
+    system.
     """
-    u = s.u
+    u = s.u if p.n_cutoff is None else grid.freq_cutoff(s.u, p.n_cutoff)
+    n_q = -advect(grid, u, s.q) + corotation(grid, s.q, u) + p.gamma * bulk_force(s.q, p, grid)
+    n_uh = grid.leray_hat(grid.rfft(-advect(grid, u, u) + elastic_stress_div(grid, s.q, p)))
     if p.n_cutoff is not None:
-        u = grid.freq_cutoff(u, p.n_cutoff)
-    rhs = -advect(grid, u, s.q) + corotation(grid, s.q, u)
-    rhs += p.gamma * molecular_field(grid, s.q, p)
-    return rhs
-
-
-def velocity_rhs(grid: Grid, s: State, p: ModelParams) -> np.ndarray:
-    """Leray-projected, mean-zero momentum right-hand side.
-
-    d_t u = P[-u.grad(u) + nu lap(u) + L div{...}]; with a Friedrichs
-    index n both nonlinear blocks are wrapped as J_n P (J_n u . grad J_n u)
-    and J_n P div{...}, while the viscous term stays untouched.
-    """
-    uh = grid.rfft(s.u)
-    if p.n_cutoff is not None:
-        ucut = grid.irfft(grid.freq_cutoff_hat_r(uh, p.n_cutoff))
-        advu = grid.rfft(advect(grid, ucut, ucut))
-        advu = grid.freq_cutoff_hat_r(grid.leray_hat_r(-advu), p.n_cutoff)
-        stress = grid.rfft(elastic_stress_div(grid, s.q, p))
-        stress = grid.freq_cutoff_hat_r(grid.leray_hat_r(stress), p.n_cutoff)
-        rhsh = advu + stress + p.nu * grid.laplacian_hat_r(uh)
-    else:
-        rhsh = grid.rfft(-advect(grid, s.u, s.u) + elastic_stress_div(grid, s.q, p))
-        rhsh = grid.leray_hat_r(rhsh) + p.nu * grid.laplacian_hat_r(uh)
-    rhsh[:, 0, 0] = 0.0
-    return grid.irfft(rhsh)
-
-
-def tensor_rhs_nonstiff(grid: Grid, s: State, p: ModelParams) -> np.ndarray:
-    """Q right-hand side without the stiff gamma*L*lap(Q) part (for IF schemes)."""
-    u = s.u
-    if p.n_cutoff is not None:
-        u = grid.freq_cutoff(u, p.n_cutoff)
-    return -advect(grid, u, s.q) + corotation(grid, s.q, u) + p.gamma * bulk_force(s.q, p, grid)
-
-
-def velocity_rhs_nonstiff(grid: Grid, s: State, p: ModelParams) -> np.ndarray:
-    """Momentum right-hand side without the stiff nu*lap(u) part (for IF schemes)."""
-    if p.n_cutoff is not None:
-        ucut = grid.freq_cutoff(s.u, p.n_cutoff)
-        advu = grid.rfft(advect(grid, ucut, ucut))
-        advu = grid.freq_cutoff_hat_r(grid.leray_hat_r(-advu), p.n_cutoff)
-        stress = grid.rfft(elastic_stress_div(grid, s.q, p))
-        stress = grid.freq_cutoff_hat_r(grid.leray_hat_r(stress), p.n_cutoff)
-        rhsh = advu + stress
-    else:
-        rhsh = grid.rfft(-advect(grid, s.u, s.u) + elastic_stress_div(grid, s.q, p))
-        rhsh = grid.leray_hat_r(rhsh)
-    rhsh[:, 0, 0] = 0.0
-    return grid.irfft(rhsh)
+        n_uh = grid.freq_cutoff_hat(n_uh, p.n_cutoff)
+    n_uh[:, 0, 0] = 0.0
+    return grid.irfft(n_uh), n_q

@@ -1,4 +1,4 @@
-"""Binary state snapshots and full-precision CSV norm series.
+"""Binary state snapshots, full-precision CSV norm series and the CSV writer.
 
 Snapshot layout (little-endian, no padding):
 
@@ -16,7 +16,9 @@ the spectral divergence of u.
 
 from __future__ import annotations
 
+import csv
 import struct
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +65,7 @@ def read_snapshot(path: str | Path, div_tol: float = 1e-8) -> tuple[Grid, ModelP
     grid = Grid(n, length)
     params = ModelParams(a=a, b=b, c=c, gamma=gamma, nu=nu, L=ell)
     state = State(planes[:2], planes[2:], time)
-    resid = grid.divergence_residual(grid.fft(state.u))
+    resid = grid.divergence_residual(grid.rfft(state.u))
     if resid > div_tol:
         raise SnapshotError(f"{path}: velocity divergence {resid:.3e} exceeds {div_tol:g}")
     return grid, params, state
@@ -77,11 +79,16 @@ def emit_series(path: str | Path, times: np.ndarray, series: dict[str, np.ndarra
     for name in names:
         if len(series[name]) != len(times):
             raise ValueError(f"series {name!r} length mismatch")
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(names) + "\n")
-        for i, t in enumerate(times):
-            row = [f"{t:.17g}"] + [f"{series[name][i]:.17g}" for name in names]
-            fh.write(",".join(row) + "\n")
+    write_csv(path, ["t", *names], ([f"{t:.17g}"] + [f"{series[name][i]:.17g}" for name in names]
+                                    for i, t in enumerate(times)))
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list[object]]) -> None:
+    """Write a header and rows; fields holding commas or quotes are quoted."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_series(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:

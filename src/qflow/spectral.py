@@ -2,10 +2,12 @@
 
 All fields live on a square torus [0, len)^2 sampled on an n x n lattice
 (n a power of two).  Real fields are float64 arrays of shape (..., n, n);
-their spectral mirrors are complex128 arrays of the same shape produced by
-an unscaled forward FFT (the inverse carries the 1/n^2).  Wavenumbers are
-the integer lattice {-n/2+1, ..., n/2} per axis scaled by 2*pi/len; the
-Nyquist index is mapped to +n/2.
+their spectral mirrors are the half-spectrum (rfft) coefficients, complex128
+arrays of shape (..., n, n//2+1) produced by an unscaled forward transform
+(the inverse carries the 1/n^2).  Wavenumbers are the integer lattice
+{-n/2+1, ..., n/2} along the first axis and {0, ..., n/2} along the second,
+scaled by 2*pi/len; the Nyquist index is mapped to +n/2.  Every lattice
+table has the half-spectrum shape (n, n//2+1).
 """
 
 from __future__ import annotations
@@ -29,6 +31,13 @@ def fft_workers() -> int:
     return w
 
 
+def _lattice_index(n: int) -> np.ndarray:
+    """Integer wavenumbers in FFT order, Nyquist mapped to +n/2."""
+    idx = np.fft.fftfreq(n, 1.0 / n)
+    idx[n // 2] = n // 2
+    return idx
+
+
 @dataclass(frozen=True)
 class Grid:
     """Precomputed lattice and multiplier tables for one resolution.
@@ -50,6 +59,8 @@ class Grid:
     ksq: np.ndarray = field(init=False, repr=False, compare=False)
     kmag: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    parseval: np.ndarray = field(init=False, repr=False, compare=False)
+    workers: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -57,42 +68,32 @@ class Grid:
             raise ValueError(f"grid size must be a power of two >= 8, got {n}")
         if not self.length > 0:
             raise ValueError(f"period must be positive, got {self.length}")
-        idx = np.fft.fftfreq(n, 1.0 / n)
-        idx[n // 2] = n // 2  # Nyquist convention: +n/2, not -n/2
-        scale = 2.0 * np.pi / self.length
-        kx, ky = np.meshgrid(idx * scale, idx * scale, indexing="ij")
-        ix, iy = np.meshgrid(idx, idx, indexing="ij")
+        half = n // 2 + 1
+        idx = _lattice_index(n)
+        k = idx * (2.0 * np.pi / self.length)
+        kx, ky = np.meshgrid(k, k[:half], indexing="ij")
+        ix, iy = np.meshgrid(idx, idx[:half], indexing="ij")
         mask = np.maximum(np.abs(ix), np.abs(iy)) <= n / 3.0
+        # Parseval weights: interior columns stand for a conjugate pair
+        dup = np.full(half, 2.0)
+        dup[0] = dup[-1] = 1.0
         object.__setattr__(self, "k1", kx)
         object.__setattr__(self, "k2", ky)
         object.__setattr__(self, "ksq", kx**2 + ky**2)
         object.__setattr__(self, "kmag", np.sqrt(kx**2 + ky**2))
         object.__setattr__(self, "dealias_mask", mask)
-        # half-spectrum views matching the rfft layout (fast paths)
-        half = n // 2 + 1
-        for name in ("k1", "k2", "ksq", "kmag", "dealias_mask"):
-            object.__setattr__(self, name + "_r", getattr(self, name)[:, :half])
-        # Parseval weights on the half lattice: interior columns count twice
-        dup = np.full(half, 2.0)
-        dup[0] = dup[-1] = 1.0
-        object.__setattr__(self, "parseval_r", dup[None, :])
+        object.__setattr__(self, "parseval", dup[None, :])
+        object.__setattr__(self, "workers", fft_workers())
 
     # -- transforms ---------------------------------------------------------
 
-    def fft(self, f: np.ndarray) -> np.ndarray:
-        """Forward transform (unscaled), batched over leading axes."""
-        return scipy.fft.fft2(f, axes=(-2, -1), workers=fft_workers())
-
-    def ifft(self, fh: np.ndarray) -> np.ndarray:
-        """Inverse transform (carries 1/n^2); returns the real part."""
-        return scipy.fft.ifft2(fh, axes=(-2, -1), workers=fft_workers()).real
-
     def rfft(self, f: np.ndarray) -> np.ndarray:
-        """Half-spectrum forward transform for real fields (internal fast path)."""
-        return scipy.fft.rfft2(f, axes=(-2, -1), workers=fft_workers())
+        """Forward half-spectrum transform (unscaled), batched over leading axes."""
+        return scipy.fft.rfft2(f, axes=(-2, -1), workers=self.workers)
 
     def irfft(self, fh: np.ndarray) -> np.ndarray:
-        return scipy.fft.irfft2(fh, s=(self.n, self.n), axes=(-2, -1), workers=fft_workers())
+        """Inverse half-spectrum transform (carries 1/n^2) to a real field."""
+        return scipy.fft.irfft2(fh, s=(self.n, self.n), axes=(-2, -1), workers=self.workers)
 
     # -- pointwise lattice data --------------------------------------------
 
@@ -125,7 +126,7 @@ class Grid:
         separate, deliberate step).
         """
         if vh.shape[:-2] != (2,):
-            raise ValueError(f"expected shape (2, n, n), got {vh.shape}")
+            raise ValueError(f"expected shape (2, n, n//2+1), got {vh.shape}")
         ksq = np.where(self.ksq == 0.0, 1.0, self.ksq)
         kdotv = self.k1 * vh[0] + self.k2 * vh[1]
         out = np.empty_like(vh)
@@ -141,57 +142,28 @@ class Grid:
         """
         if m < 1:
             raise ValueError(f"cutoff index must be >= 1, got {m}")
-        keep = (self.kmag >= 1.0 / m) & (self.kmag <= float(m))
-        return fh * keep
-
-    def dealias_hat(self, fh: np.ndarray) -> np.ndarray:
-        """Two-thirds rule: zero modes with max(|k1|,|k2|) > n/3 (lattice units)."""
-        return fh * self.dealias_mask
-
-    # -- half-spectrum (rfft layout) operator variants ------------------------
-
-    def deriv_hat_r(self, fh: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-        k = self.k1_r if axis == 1 else self.k2_r
-        return fh * (1j * k) ** order
-
-    def laplacian_hat_r(self, fh: np.ndarray) -> np.ndarray:
-        return -self.ksq_r * fh
-
-    def leray_hat_r(self, vh: np.ndarray) -> np.ndarray:
-        ksq = np.where(self.ksq_r == 0.0, 1.0, self.ksq_r)
-        kdotv = self.k1_r * vh[0] + self.k2_r * vh[1]
-        out = np.empty_like(vh)
-        out[0] = vh[0] - self.k1_r * kdotv / ksq
-        out[1] = vh[1] - self.k2_r * kdotv / ksq
-        out[..., 0, 0] = vh[..., 0, 0]
-        return out
-
-    def freq_cutoff_hat_r(self, fh: np.ndarray, m: int) -> np.ndarray:
-        keep = (self.kmag_r >= 1.0 / m) & (self.kmag_r <= float(m))
-        return fh * keep
+        return fh * ((self.kmag >= 1.0 / m) & (self.kmag <= float(m)))
 
     # -- real-space convenience wrappers -------------------------------------
 
     def deriv(self, f: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-        return self.irfft(self.deriv_hat_r(self.rfft(f), axis, order))
+        return self.irfft(self.deriv_hat(self.rfft(f), axis, order))
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
-        return self.irfft(self.laplacian_hat_r(self.rfft(f)))
+        return self.irfft(self.laplacian_hat(self.rfft(f)))
 
     def leray(self, v: np.ndarray) -> np.ndarray:
-        return self.irfft(self.leray_hat_r(self.rfft(v)))
+        return self.irfft(self.leray_hat(self.rfft(v)))
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
-        return self.irfft(self.dealias_mask_r * self.rfft(f))
+        return self.irfft(self.dealias_mask * self.rfft(f))
 
     def freq_cutoff(self, f: np.ndarray, m: int) -> np.ndarray:
-        if m < 1:
-            raise ValueError(f"cutoff index must be >= 1, got {m}")
-        return self.irfft(self.freq_cutoff_hat_r(self.rfft(f), m))
+        return self.irfft(self.freq_cutoff_hat(self.rfft(f), m))
 
     def grad(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         fh = self.rfft(f)
-        return self.irfft(self.deriv_hat_r(fh, 1)), self.irfft(self.deriv_hat_r(fh, 2))
+        return self.irfft(self.deriv_hat(fh, 1)), self.irfft(self.deriv_hat(fh, 2))
 
     def zero_mean(self, f: np.ndarray) -> np.ndarray:
         return f - f.mean(axis=(-2, -1), keepdims=True)
@@ -222,23 +194,14 @@ class Grid:
             return f * f
         return np.sum(f * f, axis=tuple(range(f.ndim - 2)))
 
-    def spectral_norm_l2(self, fh: np.ndarray) -> float:
-        """L^2 norm evaluated from spectral coefficients (Parseval)."""
-        w = self.cell_area / self.n**2
-        return float(np.sqrt(np.sum(np.abs(fh) ** 2) * w))
-
     def inner_hat(self, fh: np.ndarray, gh: np.ndarray, weight: np.ndarray | None = None) -> float:
-        """L^2 pairing from spectral coefficients, optionally multiplier-weighted."""
-        w = self.cell_area / self.n**2
-        prod = (fh * gh.conj()).real
-        if weight is not None:
-            prod = prod * weight
-        return float(np.sum(prod) * w)
+        """L^2 pairing of real fields from their half-spectrum coefficients.
 
-    def inner_hat_r(self, fh: np.ndarray, gh: np.ndarray, weight: np.ndarray | None = None) -> float:
-        """inner_hat for half-spectrum (rfft) coefficients of real fields."""
+        The Parseval weight counts each interior column twice, once for its
+        conjugate partner; an optional multiplier must be even in k.
+        """
         w = self.cell_area / self.n**2
-        prod = (fh * gh.conj()).real * self.parseval_r
+        prod = (fh * gh.conj()).real * self.parseval
         if weight is not None:
             prod = prod * weight
         return float(np.sum(prod) * w)
@@ -274,18 +237,24 @@ def random_scalar(
 
     Spectral support is the annulus kmin <= |k| <= kmax in lattice units;
     kmax defaults to n/4 so that triple products stay alias-free under the
-    two-thirds rule.
+    two-thirds rule.  The phases are drawn on the full n x n lattice and the
+    field is synthesized by a full complex inverse transform whose real
+    part Hermitian-symmetrizes it; this keeps every seeded field (and the
+    constants fitted on them) bitwise stable.
     """
     n = grid.n
     if kmax is None:
         kmax = n / 4.0
     scale = 2.0 * np.pi / grid.length
-    band = (grid.kmag >= kmin * scale) & (grid.kmag <= kmax * scale)
+    k = _lattice_index(n) * scale
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    kmag = np.sqrt(kx**2 + ky**2)
+    band = (kmag >= kmin * scale) & (kmag <= kmax * scale)
     amp = np.zeros((n, n))
-    amp[band] = (grid.kmag[band] / scale) ** (-decay)
+    amp[band] = (kmag[band] / scale) ** (-decay)
     phases = rng.uniform(0.0, 2.0 * np.pi, (n, n))
     fh = amp * np.exp(1j * phases) * n**2
-    f = grid.ifft(fh)  # taking the real part Hermitian-symmetrizes
+    f = scipy.fft.ifft2(fh, axes=(-2, -1), workers=grid.workers).real
     f = grid.zero_mean(f)
     peak = np.abs(f).max()
     return f / peak if peak > 0 else f

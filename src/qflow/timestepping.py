@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicPartition
-from .qtensor import (
-    ModelParams,
-    State,
-    bulk_force,
-    tensor_rhs_nonstiff,
-    trace_q2,
-    velocity_rhs_nonstiff,
-)
+from .qtensor import ModelParams, State, bulk_force, nonlinear, trace_q2
 from .spectral import Grid, random_scalar, random_velocity
 
 
@@ -69,32 +62,17 @@ class TimeConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled scalar diagnostics plus (strided) stored states."""
+    """Record of one run: sampled scalar diagnostics plus stored states.
+
+    For run() the states are strided snapshots ending with the final one;
+    for twin_run() they are the final states of the two members.
+    """
 
     grid: Grid
     params: ModelParams
     times: np.ndarray
     series: dict[str, np.ndarray]
     states: list[State] = field(default_factory=list)
-
-    def column(self, name: str) -> np.ndarray:
-        return self.series[name]
-
-
-@dataclass
-class TwinDiff:
-    """Per-step difference diagnostics of a twin run."""
-
-    grid: Grid
-    params: ModelParams
-    eps: float
-    times: np.ndarray
-    series: dict[str, np.ndarray]
-    final_a: State | None = None
-    final_b: State | None = None
-
-    def column(self, name: str) -> np.ndarray:
-        return self.series[name]
 
 
 class Stepper:
@@ -121,8 +99,8 @@ class Stepper:
         if self._exp_cache is not None and self._exp_cache[0] == dt:
             return self._exp_cache[1], self._exp_cache[2]
         g, p = self.grid, self.params
-        eu = np.exp(-p.nu * g.ksq_r * dt)
-        eq = np.exp(-p.gamma * p.L * g.ksq_r * dt)
+        eu = np.exp(-p.nu * g.ksq * dt)
+        eq = np.exp(-p.gamma * p.L * g.ksq * dt)
         self._exp_cache = (dt, eu, eq)
         return eu, eq
 
@@ -130,18 +108,16 @@ class Stepper:
         g, p = self.grid, self.params
         eu, eq = self._multipliers(dt)
 
-        k1u = velocity_rhs_nonstiff(g, s, p)
-        k1q = tensor_rhs_nonstiff(g, s, p)
+        k1u, k1q = nonlinear(g, s, p)
         pred = State(
             g.irfft(eu * g.rfft(s.u + dt * k1u)),
             g.irfft(eq * g.rfft(s.q + dt * k1q)),
             s.t + dt,
         )
-        k2u = velocity_rhs_nonstiff(g, pred, p)
-        k2q = tensor_rhs_nonstiff(g, pred, p)
+        k2u, k2q = nonlinear(g, pred, p)
 
         uh = eu * (g.rfft(s.u) + 0.5 * dt * g.rfft(k1u)) + 0.5 * dt * g.rfft(k2u)
-        uh = g.leray_hat_r(uh)
+        uh = g.leray_hat(uh)
         uh[:, 0, 0] = 0.0
         qh = eq * (g.rfft(s.q) + 0.5 * dt * g.rfft(k1q)) + 0.5 * dt * g.rfft(k2q)
         out = State(g.irfft(uh), g.irfft(qh), s.t + dt)
@@ -176,15 +152,15 @@ def standard_probes(
     g = grid
     uh = g.rfft(s.u)
     qh = g.rfft(s.q)
-    lapq = g.irfft(g.laplacian_hat_r(qh))
+    lapq = g.irfft(g.laplacian_hat(qh))
     pq = bulk_force(s.q, p, g)
 
     out: dict[str, float] = {}
     out["l2_u2"] = g.inner(s.u, s.u)
     out["l2_q2"] = g.inner(s.q, s.q)
-    out["gradu2"] = g.inner_hat_r(uh, uh, g.ksq_r)
-    out["gradq2"] = g.inner_hat_r(qh, qh, g.ksq_r)
-    out["lapq2"] = g.inner_hat_r(qh, qh, g.ksq_r**2)
+    out["gradu2"] = g.inner_hat(uh, uh, g.ksq)
+    out["gradq2"] = g.inner_hat(qh, qh, g.ksq)
+    out["lapq2"] = g.inner_hat(qh, qh, g.ksq**2)
     out["energy"] = out["l2_u2"] + out["l2_q2"] + p.L * out["gradq2"]
     out["pq_q"] = g.inner(pq, s.q)
     out["pq_lapq"] = g.inner(pq, lapq)
@@ -193,18 +169,18 @@ def standard_probes(
     out["max_u"] = float(np.sqrt(np.sum(s.u**2, axis=0)).max(initial=0.0))
 
     if hs_list:
-        h2w = (1.0 + g.ksq_r) ** 2
-        out["h2_q"] = float(np.sqrt(max(g.inner_hat_r(qh, qh, h2w), 0.0)))
-        w1 = part.sobolev_weight_r(1.0)
-        out["h1dot_u2"] = g.inner_hat_r(uh, uh, w1)
-        out["h1dot_gradq2"] = g.inner_hat_r(qh, qh, w1 * g.ksq_r)
+        h2w = (1.0 + g.ksq) ** 2
+        out["h2_q"] = float(np.sqrt(max(g.inner_hat(qh, qh, h2w), 0.0)))
+        w1 = part.sobolev_weight(1.0)
+        out["h1dot_u2"] = g.inner_hat(uh, uh, w1)
+        out["h1dot_gradq2"] = g.inner_hat(qh, qh, w1 * g.ksq)
     for sv in hs_list:
-        w = part.sobolev_weight_r(sv)
+        w = part.sobolev_weight(sv)
         tag = _hs_tag(sv)
-        out[f"hs{tag}_u2"] = g.inner_hat_r(uh, uh, w)
-        out[f"hs{tag}_gradq2"] = g.inner_hat_r(qh, qh, w * g.ksq_r)
-        out[f"hs{tag}_gradu2"] = g.inner_hat_r(uh, uh, w * g.ksq_r)
-        out[f"hs{tag}_lapq2"] = g.inner_hat_r(qh, qh, w * g.ksq_r**2)
+        out[f"hs{tag}_u2"] = g.inner_hat(uh, uh, w)
+        out[f"hs{tag}_gradq2"] = g.inner_hat(qh, qh, w * g.ksq)
+        out[f"hs{tag}_gradu2"] = g.inner_hat(uh, uh, w * g.ksq)
+        out[f"hs{tag}_lapq2"] = g.inner_hat(qh, qh, w * g.ksq**2)
     return out
 
 
@@ -233,13 +209,6 @@ def run(
     rows = [standard_probes(grid, part, s, p, hs_probes)]
     states = [s.copy()]
     e0 = max(rows[0]["energy"], 1e-300)
-
-    def flush(err: BlowUpError) -> BlowUpError:
-        err.diagnostics["steps_completed"] = float(k)
-        err.partial = (np.array(times), {key: np.array([r[key] for r in rows])
-                                         for key in rows[0]})
-        return err
-
     k = 0
     t_final = init.t + tc.t_end
     while s.t < t_final - 1e-12:
@@ -248,23 +217,33 @@ def run(
         try:
             s = stepper.step(s, dt)
         except BlowUpError as err:
-            raise flush(err)
+            raise _flush(err, times, rows)
         k += 1
         times.append(s.t)
         row = standard_probes(grid, part, s, p, hs_probes)
         rows.append(row)
         if row["energy"] > energy_guard * e0:
-            raise flush(BlowUpError(
+            raise _flush(BlowUpError(
                 "energy guard tripped", s.t,
                 {"energy": row["energy"], "energy0": e0},
-            ))
+            ), times, rows)
         if state_stride > 0 and k % state_stride == 0:
             states.append(s.copy())
     if not states or states[-1].t != s.t:
         states.append(s.copy())
 
-    series = {key: np.array([r[key] for r in rows]) for key in rows[0]}
-    return Trajectory(grid, p, np.array(times), series, states)
+    return Trajectory(grid, p, np.array(times), _columns(rows), states)
+
+
+def _columns(rows: list[dict[str, float]]) -> dict[str, np.ndarray]:
+    return {key: np.array([r[key] for r in rows]) for key in rows[0]}
+
+
+def _flush(err: BlowUpError, times: list[float], rows: list[dict[str, float]]) -> BlowUpError:
+    """Attach the series recorded before an abort to the error."""
+    err.diagnostics["steps_completed"] = float(len(times) - 1)
+    err.partial = (np.array(times), _columns(rows))
+    return err
 
 
 # -- twin runs --------------------------------------------------------------------
@@ -296,13 +275,15 @@ def twin_run(
     perturb: Perturbation,
     p: ModelParams,
     tc: TimeConfig,
-) -> TwinDiff:
+) -> Trajectory:
     """Evolve the state and its perturbed twin under identical stepping.
 
     Records the contraction functional Phi(t) = 1/2 ||du||^2_{H^-1/2}
     + L ||grad dQ||^2_{H^-1/2}, its dissipation channels, the background
     norms entering the Gronwall majorant, and the empirical rate
-    chi = Phi'/Phi wherever Phi > 0.
+    chi = Phi'/Phi wherever Phi > 0.  The record's states are the two
+    members' final states; an aborting step flushes the partial series
+    into the raised error.
     """
     part = DyadicPartition(grid)
     stepper = Stepper(grid, p, tc)
@@ -315,35 +296,38 @@ def twin_run(
     while sa.t < t_final - 1e-12:
         dt = stepper.auto_dt(sa) if tc.dt == "auto" else float(tc.dt)
         dt = min(dt, t_final - sa.t)
-        sa = stepper.step(sa, dt)
-        sb = stepper.step(sb, dt)
+        try:
+            sa = stepper.step(sa, dt)
+            sb = stepper.step(sb, dt)
+        except BlowUpError as err:
+            raise _flush(err, times, rows)
         times.append(sa.t)
         rows.append(_twin_probes(grid, part, sa, sb, p))
 
-    series = {key: np.array([r[key] for r in rows]) for key in rows[0]}
+    series = _columns(rows)
     t = np.array(times)
     series["chi"] = _log_derivative(t, series["phi"])
-    return TwinDiff(grid, p, perturb.eps, t, series, final_a=sa, final_b=sb)
+    return Trajectory(grid, p, t, series, [sa, sb])
 
 
 def _twin_probes(
     grid: Grid, part: DyadicPartition, sa: State, sb: State, p: ModelParams
 ) -> dict[str, float]:
     g = grid
-    w = part.sobolev_weight_r(-0.5)
+    w = part.sobolev_weight(-0.5)
     du = sb.u - sa.u
     dq = sb.q - sa.q
     duh = g.rfft(du)
     dqh = g.rfft(dq)
 
     out: dict[str, float] = {}
-    out["du_hm2"] = g.inner_hat_r(duh, duh, w)
-    out["gdq_hm2"] = g.inner_hat_r(dqh, dqh, w * g.ksq_r)
+    out["du_hm2"] = g.inner_hat(duh, duh, w)
+    out["gdq_hm2"] = g.inner_hat(dqh, dqh, w * g.ksq)
     out["phi"] = 0.5 * out["du_hm2"] + p.L * out["gdq_hm2"]
-    out["gdu_hm2"] = g.inner_hat_r(duh, duh, w * g.ksq_r)
-    out["lapdq_hm2"] = g.inner_hat_r(dqh, dqh, w * g.ksq_r**2)
+    out["gdu_hm2"] = g.inner_hat(duh, duh, w * g.ksq)
+    out["lapdq_hm2"] = g.inner_hat(dqh, dqh, w * g.ksq**2)
     out["du_l22"] = g.inner(du, du)
-    out["gdu_l22"] = g.inner_hat_r(duh, duh, g.ksq_r)
+    out["gdu_l22"] = g.inner_hat(duh, duh, g.ksq)
     out["dq_l22"] = g.inner(dq, dq)
 
     for tag, s in (("1", sa), ("2", sb)):
@@ -351,9 +335,9 @@ def _twin_probes(
         qh = g.rfft(s.q)
         out[f"u{tag}_l22"] = g.inner(s.u, s.u)
         out[f"q{tag}_l22"] = g.inner(s.q, s.q)
-        out[f"gu{tag}_l22"] = g.inner_hat_r(uh, uh, g.ksq_r)
-        out[f"gq{tag}_l22"] = g.inner_hat_r(qh, qh, g.ksq_r)
-        out[f"lq{tag}_l22"] = g.inner_hat_r(qh, qh, g.ksq_r**2)
+        out[f"gu{tag}_l22"] = g.inner_hat(uh, uh, g.ksq)
+        out[f"gq{tag}_l22"] = g.inner_hat(qh, qh, g.ksq)
+        out[f"lq{tag}_l22"] = g.inner_hat(qh, qh, g.ksq**2)
     return out
 
 

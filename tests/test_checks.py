@@ -106,7 +106,7 @@ def test_linf_interp_single_mode(grid):
     part = DyadicPartition(grid)
     x, _ = grid.nodes()
     f = np.cos(8 * x)
-    fh = grid.fft(f)
+    fh = grid.rfft(f)
     linf = np.abs(f).max()
     l2 = grid.norm_l2(f)
     h1 = grid.sobolev_multiplier_norm(fh, 1.0, homogeneous=False)
@@ -251,7 +251,7 @@ def test_difference_regularity_single_mode(grid):
 
     row = _twin_probes(grid, part, base, pert, params())
     w = part.sobolev_weight(-0.5)
-    duh = grid.fft(du)
+    duh = grid.rfft(du)
     expect = grid.inner_hat(duh, duh, w)
     assert row["du_hm2"] == pytest.approx(expect, rel=1e-12)
     # one mode at |k| = 2: the weight table gives the norm exactly
@@ -275,7 +275,7 @@ def test_force_estimate_zero_vacuous(grid):
     q = np.zeros((5, grid.n, grid.n))
     pq = bulk_force(q, p)
     w = part.sobolev_weight(0.5)
-    assert grid.inner_hat(grid.fft(pq), grid.fft(pq), w) == 0.0
+    assert grid.inner_hat(grid.rfft(pq), grid.rfft(pq), w) == 0.0
 
 
 def test_force_estimate_uniaxial_closed_form(grid):
@@ -285,16 +285,16 @@ def test_force_estimate_uniaxial_closed_form(grid):
     x, _ = grid.nodes()
     s = 0.4 * np.cos(x)
     q = uniaxial(grid, s)
-    qh = grid.fft(q)
+    qh = grid.rfft(q)
     w = part.sobolev_weight(0.5)
     pq = bulk_force(q, p)
-    lapq = grid.ifft(grid.laplacian_hat(qh))
-    lhs = grid.inner_hat(grid.fft(pq), grid.fft(lapq), w)
+    lapq = grid.irfft(grid.laplacian_hat(qh))
+    lhs = grid.inner_hat(grid.rfft(pq), grid.rfft(lapq), w)
 
     # scalar oracle: P(Q) = (-a s + b s^2/3 - 2 c s^3/3)(e3.e3 - Id/3)
     fs = -p.a * s + p.b * s**2 / 3.0 - 2.0 * p.c * s**3 / 3.0
     laps = grid.laplacian(s)
-    expect = (2.0 / 3.0) * grid.inner_hat(grid.fft(fs), grid.fft(laps), w)
+    expect = (2.0 / 3.0) * grid.inner_hat(grid.rfft(fs), grid.rfft(laps), w)
     assert lhs == pytest.approx(expect, rel=1e-10)
 
 

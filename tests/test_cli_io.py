@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -122,10 +123,22 @@ def test_fft_workers_env(monkeypatch):
         fft_workers()
 
 
+def test_grid_resolves_threads_once(monkeypatch):
+    monkeypatch.setenv("QFLOW_THREADS", "2")
+    g = Grid(16)
+    assert g.workers == 2
+    monkeypatch.setenv("QFLOW_THREADS", "1")
+    assert Grid(16) == g  # the thread count is not part of a grid's identity
+    monkeypatch.setenv("QFLOW_THREADS", "0")
+    g.irfft(g.rfft(np.zeros((16, 16))))  # the stored count, not the environment
+    with pytest.raises(ValueError, match="QFLOW_THREADS"):
+        Grid(16)
+
+
 def test_presets():
     g = Grid(32)
     u = taylor_green(g, 0.7)
-    assert g.divergence_residual(g.fft(u)) <= 1e-12
+    assert g.divergence_residual(g.rfft(u)) <= 1e-12
     q = uniaxial_wave(g, 0.5)
     assert q.shape == (5, 32, 32) and np.abs(q[0]).max() == 0.0
 
@@ -251,6 +264,53 @@ def test_cli_twin(tmp_path):
     cfg.write_text(full_config(out))
     assert main(["twin", str(cfg), "--eps", "1e-4", "--seed", "3"]) == 0
     assert (out / "twin_eps0.0001_seed3.csv").exists()
+
+
+def test_cli_twin_blow_up_aborts(tmp_path, capsys):
+    cfg = tmp_path / "r.cfg"
+    out = tmp_path / "out"
+    text = full_config(out).replace("a = -0.2", "a = -5.0").replace("gamma = 0.8", "gamma = 2.0")
+    text = text.replace("dt = 0.005", "dt = 2.0").replace("t_end = 0.05", "t_end = 200.0")
+    cfg.write_text(text.replace("amplitude_q = 0.3", "amplitude_q = 2.0"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["twin", str(cfg), "--eps", "1e-3"]) == 1
+    assert "ABORT non-finite state" in capsys.readouterr().err
+    assert (out / "twin_eps0.001_seed0.csv").exists()  # partial series flushed
+
+
+def restart_config(tmp_path, snap, grid_lines):
+    return full_config(tmp_path / "out").replace("[grid]\nn = 32", grid_lines).replace(
+        "preset = random_spectrum", f"snapshot = {snap}")
+
+
+def test_restart_rejects_other_grid(tmp_path):
+    g, st = random_state(n=16)
+    p = ModelParams(a=-0.2, b=0.8, c=1.0, gamma=0.8, nu=0.25, L=0.4)
+    snap = tmp_path / "s.qtns"
+    write_snapshot(snap, g, p, st)
+    same = parse_config(restart_config(tmp_path, snap, "[grid]\nn = 16"))
+    assert np.array_equal(build_initial_state(same, Grid(16)).u, st.u)
+    for lines, pattern in (("[grid]\nn = 32", "n=16 .* n=32"), ("[grid]\nn = 16\nlen = 3.0", "len=3.0")):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text(restart_config(tmp_path, snap, lines))
+        with pytest.raises(ConfigError, match=pattern):
+            build_initial_state(parse_config(cfg.read_text()), Grid(16))
+        for command in (["simulate", str(cfg)], ["twin", str(cfg), "--eps", "1e-4"]):
+            with pytest.raises(SystemExit, match=f"error: snapshot .*{pattern}"):
+                main(command)
+
+
+def test_cli_reports_csv_columns(tmp_path):
+    path = tmp_path / "rep.csv"
+    main(["check", "all", "--n", "32", "--trials", "2", "--csv", str(path)])
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(rows) == 10 and all(len(row) == len(header) for row in rows)
+    by_check = {row[0]: dict(zip(header, row)) for row in rows}
+    assert by_check["partition_unity"]["inputs"].endswith("q=[0,4]")
+    assert float(by_check["partition_unity"]["measured_max_dev"]) <= 1e-12
+    assert by_check["product_law_s0.5_t0.5"]["inputs"].startswith("trials=2 seeds=(0, 1, 2)")
+    assert path.read_bytes().count(b"\r") == 0
 
 
 def test_cli_check_subset(tmp_path):

@@ -41,6 +41,15 @@ def test_partition_of_unity(part, grid):
     assert total[0, 0] == 0.0
 
 
+def test_tables_share_half_spectrum_layout(part, grid):
+    half = (grid.n, grid.n // 2 + 1)
+    assert all(part.phi[q].shape == half for q in part.qs)
+    assert part.sobolev_weight(0.5).shape == half
+    assert part.lowpass_multiplier(2).shape == half
+    for name in ("phi_r", "sobolev_weight_r", "sobolev_inner"):
+        assert not hasattr(part, name)
+
+
 def test_block_supports_disjoint(part):
     for q in part.qs:
         for qp in part.qs:
@@ -112,7 +121,7 @@ def test_besov_vs_multiplier_norm_band(grid, part):
     for _ in range(100):
         f = random_scalar(grid, rng)
         b = part.besov_norm(f, NormSpec(1.0))
-        m = grid.sobolev_multiplier_norm(grid.fft(f), 1.0)
+        m = grid.sobolev_multiplier_norm(grid.rfft(f), 1.0)
         ratios.append(b / m)
     assert 0.5 <= min(ratios) and max(ratios) <= 2.0
 
@@ -122,11 +131,11 @@ def test_sobolev_inner_properties(part, grid):
     f = random_scalar(grid, rng)
     g = random_scalar(grid, rng)
     for s in (-0.5, 0.0, 0.5, 1.0):
-        assert part.sobolev_inner(f, f, s) >= 0.0
-        sym = part.sobolev_inner(f, g, s) - part.sobolev_inner(g, f, s)
-        assert abs(sym) <= 1e-12 * abs(part.sobolev_inner(f, g, s) + 1e-30)
+        assert part.hs_inner(f, f, s) >= 0.0
+        sym = part.hs_inner(f, g, s) - part.hs_inner(g, f, s)
+        assert abs(sym) <= 1e-12 * abs(part.hs_inner(f, g, s) + 1e-30)
         b2 = part.besov_norm(f, NormSpec(s)) ** 2
-        assert abs(b2 - part.sobolev_inner(f, f, s)) <= 1e-12 * b2
+        assert abs(b2 - part.hs_inner(f, f, s)) <= 1e-12 * b2
 
 
 def test_sobolev_inner_s0_comparable_l2(part, grid):
@@ -134,7 +143,7 @@ def test_sobolev_inner_s0_comparable_l2(part, grid):
     ratios = []
     for _ in range(50):
         f = random_scalar(grid, rng)
-        ratios.append(part.sobolev_inner(f, f, 0.0) / grid.inner(f, f))
+        ratios.append(part.hs_inner(f, f, 0.0) / grid.inner(f, f))
     # block overlap: sum_q phi_q(k)^2 lies in [1/2, 1] since at most two
     # blocks overlap and they sum to one
     assert 0.5 - 1e-12 <= min(ratios) and max(ratios) <= 1.0 + 1e-12
@@ -227,7 +236,7 @@ def test_sym_decomp_weighted_pairing(part, grid):
     via_blocks = 0.0
     for q in part.qs:
         terms = sum(ctx.terms(q))
-        cq = grid.ifft(part.phi[q] * grid.fft(c))
+        cq = grid.irfft(part.phi[q] * grid.rfft(c))
         via_blocks += 4.0 ** (q * s) * grid.inner(terms, cq)
     assert abs(via_blocks - direct) <= 1e-8 * (abs(direct) + 1e-30)
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qflow import qtensor
 from qflow.qtensor import (
     S0_BASIS,
     ModelParams,
@@ -12,15 +13,13 @@ from qflow.qtensor import (
     corotation,
     elastic_stress_div,
     mat_to_q,
-    molecular_field,
+    nonlinear,
     q_to_mat,
     random_qtensor,
     stress_tensor,
-    tensor_rhs,
     trace_q2,
     trace_q3,
     velocity_gradient,
-    velocity_rhs,
     vorticity_mat,
 )
 from qflow.spectral import Grid, random_scalar, random_velocity
@@ -35,6 +34,20 @@ def params(**kw):
     base = dict(a=-0.2, b=0.8, c=1.0, gamma=0.8, nu=0.25, L=0.4)
     base.update(kw)
     return ModelParams(**base)
+
+
+def full_rhs(grid, s, p):
+    """Full (u, Q) right-hand sides: nonlinear plus nu lap(u) and gamma L lap(Q)."""
+    n_u, n_q = nonlinear(grid, s, p)
+    return n_u + p.nu * grid.laplacian(s.u), n_q + p.gamma * p.L * grid.laplacian(s.q)
+
+
+def tensor_rhs(grid, s, p):
+    return full_rhs(grid, s, p)[1]
+
+
+def velocity_rhs(grid, s, p):
+    return full_rhs(grid, s, p)[0]
 
 
 def uniaxial(grid, s):
@@ -108,16 +121,17 @@ def test_bulk_force_matches_dense_oracle(grid):
 
 
 def test_molecular_field(grid):
+    # at rest the Q right-hand side is gamma (P(Q) + L lap Q)
     p = params(a=0.4, b=0.7, c=1.2)
     q = uniaxial(grid, 0.5)  # constant in space
-    h = molecular_field(grid, q, p)
+    h = tensor_rhs(grid, State(np.zeros((2, grid.n, grid.n)), q), p) / p.gamma
     assert np.abs(h - bulk_force(q, p)).max() <= 1e-12
 
     x, _ = grid.nodes()
     p0 = params(a=0.0, b=0.0, c=1e-14)
     q = np.zeros((5, grid.n, grid.n))
     q[0] = np.sin(x)
-    h = molecular_field(grid, q, p0)
+    h = tensor_rhs(grid, State(np.zeros((2, grid.n, grid.n)), q), p0) / p0.gamma
     assert np.abs(h + p0.L * q).max() <= 1e-11
 
 
@@ -189,11 +203,11 @@ def test_stress_duality(grid):
     u = random_velocity(grid, rng)
     force = elastic_stress_div(grid, q, p)
     sigma = p.L * stress_tensor(grid, q)
-    uh = grid.fft(u)
+    uh = grid.rfft(u)
     pairing = 0.0
     for i in range(2):
         for j in range(2):
-            pairing += grid.inner(sigma[i, j], grid.ifft(grid.deriv_hat(uh[j], i + 1)))
+            pairing += grid.inner(sigma[i, j], grid.irfft(grid.deriv_hat(uh[j], i + 1)))
     lhs = grid.inner(force, u)
     assert abs(lhs + pairing) <= 1e-8 * (abs(lhs) + abs(pairing))
 
@@ -226,9 +240,31 @@ def test_friedrichs_wrapping(grid):
     # momentum nonlinearities are annulus-supported in Friedrichs mode
     p4 = params(n_cutoff=4, nu=1e-12)
     s3 = State(random_velocity(grid, rng), q)
-    rhsh = grid.fft(velocity_rhs(grid, s3, p4))
+    rhsh = grid.rfft(velocity_rhs(grid, s3, p4))
     outside = (grid.kmag < 1.0 / 4.0) | (grid.kmag > 4.0)
     assert np.abs(rhsh[:, outside]).max() <= 1e-9 * np.abs(rhsh).max()
+
+
+def test_nonlinear_friedrichs_matches_termwise_cut(grid):
+    # J_n P is linear: cutting the summed momentum terms once equals cutting
+    # the advection and stress terms apart
+    rng = np.random.default_rng(16)
+    p = params(n_cutoff=4)
+    s = State(random_velocity(grid, rng), random_qtensor(grid, rng))
+    n_u, n_q = nonlinear(grid, s, p)
+    ucut = grid.freq_cutoff(s.u, 4)
+    advh = grid.freq_cutoff_hat(grid.leray_hat(-grid.rfft(advect(grid, ucut, ucut))), 4)
+    stressh = grid.freq_cutoff_hat(grid.leray_hat(grid.rfft(elastic_stress_div(grid, s.q, p))), 4)
+    expect = grid.irfft(advh + stressh)
+    assert np.abs(n_u - expect).max() <= 1e-12 * np.abs(expect).max()
+    ref_q = -advect(grid, ucut, s.q) + corotation(grid, s.q, ucut) + p.gamma * bulk_force(s.q, p, grid)
+    assert np.array_equal(n_q, ref_q)
+
+
+def test_nonlinear_is_the_only_right_hand_side():
+    for name in ("tensor_rhs", "velocity_rhs", "tensor_rhs_nonstiff", "velocity_rhs_nonstiff",
+                 "molecular_field"):
+        assert not hasattr(qtensor, name)
 
 
 def test_velocity_rhs_examples(grid):
@@ -246,7 +282,7 @@ def test_velocity_rhs_examples(grid):
 
     rng = np.random.default_rng(9)
     s3 = State(random_velocity(grid, rng), random_qtensor(grid, rng))
-    rhsh = grid.fft(velocity_rhs(grid, s3, p))
+    rhsh = grid.rfft(velocity_rhs(grid, s3, p))
     assert grid.divergence_residual(rhsh) <= 1e-12
 
 
@@ -320,16 +356,16 @@ def test_stress_transport_pairing(grid):
     rng = np.random.default_rng(14)
     q = random_qtensor(grid, rng)
     u = random_velocity(grid, rng)
-    qh = grid.fft(q)
-    lapq = grid.ifft(grid.laplacian_hat(qh))
+    qh = grid.rfft(q)
+    lapq = grid.irfft(grid.laplacian_hat(qh))
     lhs = grid.inner(advect(grid, u, q, dealias=False), lapq)
 
-    dq = (grid.ifft(grid.deriv_hat(qh, 1)), grid.ifft(grid.deriv_hat(qh, 2)))
+    dq = (grid.irfft(grid.deriv_hat(qh, 1)), grid.irfft(grid.deriv_hat(qh, 2)))
     div = np.zeros((2, grid.n, grid.n))
     for j in range(2):
         col = np.stack([np.sum(dq[0] * dq[j], axis=0), np.sum(dq[1] * dq[j], axis=0)])
-        colh = grid.fft(col)
-        div[j] = grid.ifft(grid.deriv_hat(colh[0], 1) + grid.deriv_hat(colh[1], 2))
+        colh = grid.rfft(col)
+        div[j] = grid.irfft(grid.deriv_hat(colh[0], 1) + grid.deriv_hat(colh[1], 2))
     rhs = grid.inner(div, u)
     assert abs(lhs - rhs) <= 1e-8 * (abs(lhs) + abs(rhs) + 1e-30)
 
@@ -342,6 +378,6 @@ def test_velocity_gradient_embedding(grid):
     om = vorticity_mat(grid, u)
     assert np.abs(om + np.swapaxes(om, -1, -2)).max() == 0.0
     # Omega_12 = vorticity/2 with the d_i u_j convention
-    uh = grid.fft(u)
-    vort = grid.ifft(grid.deriv_hat(uh[1], 1) - grid.deriv_hat(uh[0], 2))
+    uh = grid.rfft(u)
+    vort = grid.irfft(grid.deriv_hat(uh[1], 1) - grid.deriv_hat(uh[0], 2))
     assert np.abs(om[..., 0, 1] - 0.5 * vort).max() <= 1e-12

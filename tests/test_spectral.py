@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from qflow.spectral import Grid, random_scalar, random_velocity
 
@@ -13,7 +14,19 @@ def test_grid_lattice_range():
     g = Grid(64)
     ints = np.unique(np.round(g.k1 * g.length / (2 * np.pi)))
     assert ints.min() == -31 and ints.max() == 32
+    cols = np.round(g.k2[0] * g.length / (2 * np.pi))
+    assert np.array_equal(cols, np.arange(33))  # half spectrum: k2 = 0..n/2
     assert Grid(8).n == 8  # smallest legal grid
+
+
+def test_grid_has_one_half_spectrum_layout():
+    g = Grid(32, length=3.7)
+    for name in ("k1", "k2", "ksq", "kmag", "dealias_mask"):
+        assert getattr(g, name).shape == (32, 17)
+    assert g.parseval.shape == (1, 17)
+    assert g.rfft(np.zeros((3, 32, 32))).shape == (3, 32, 17)
+    assert not hasattr(g, "fft") and not hasattr(g, "ifft")
+    assert not [name for name in dir(g) if name.endswith("_r")]
 
 
 @pytest.mark.parametrize("n", [7, 4, 12, 0])
@@ -35,7 +48,7 @@ def test_single_mode_derivative(grid):
 
 
 def test_deriv_rejects_bad_axis_order(grid):
-    fh = grid.fft(np.zeros((grid.n, grid.n)))
+    fh = grid.rfft(np.zeros((grid.n, grid.n)))
     with pytest.raises(ValueError):
         grid.deriv_hat(fh, 3)
     with pytest.raises(ValueError):
@@ -45,18 +58,26 @@ def test_deriv_rejects_bad_axis_order(grid):
 def test_roundtrip_and_parseval(grid):
     rng = np.random.default_rng(0)
     f = rng.normal(size=(grid.n, grid.n))
-    fh = grid.fft(f)
-    assert np.abs(grid.ifft(fh) - f).max() <= 1e-12 * np.abs(f).max()
-    assert abs(grid.spectral_norm_l2(fh) - grid.norm_l2(f)) <= 1e-12 * grid.norm_l2(f)
+    g = rng.normal(size=(grid.n, grid.n))
+    fh, gh = grid.rfft(f), grid.rfft(g)
+    assert np.abs(grid.irfft(fh) - f).max() <= 1e-12 * np.abs(f).max()
+    # the Parseval weight counts each interior column for its conjugate twin
+    assert abs(grid.inner_hat(fh, fh) - grid.inner(f, f)) <= 1e-12 * grid.inner(f, f)
+    assert abs(grid.inner_hat(fh, gh) - grid.inner(f, g)) <= 1e-12 * grid.inner(f, f)
 
 
 def test_hermitian_symmetry(grid):
     rng = np.random.default_rng(1)
-    fh = grid.fft(rng.normal(size=(grid.n, grid.n)))
+    f = rng.normal(size=(grid.n, grid.n))
+    fh = grid.rfft(f)
     n = grid.n
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    mirrored = fh[(-i) % n, (-j) % n]
-    assert np.abs(mirrored - fh.conj()).max() <= 1e-9 * np.abs(fh).max()
+    # the half spectrum is the nonnegative-k2 part of the full one
+    full = np.fft.fft2(f)
+    assert np.abs(full[:, : n // 2 + 1] - fh).max() <= 1e-9 * np.abs(fh).max()
+    # the columns k2 = 0 and k2 = n/2 are their own mirror images
+    mirror = (-np.arange(n)) % n
+    for j in (0, n // 2):
+        assert np.abs(fh[mirror, j] - fh[:, j].conj()).max() <= 1e-9 * np.abs(fh).max()
     assert abs(fh[0, 0].imag) == 0.0
 
 
@@ -87,10 +108,10 @@ def test_leray_matches_dense_projection_matrix(grid):
     # independent oracle: apply I - k k^T/|k|^2 mode by mode
     rng = np.random.default_rng(3)
     v = np.stack([random_scalar(grid, rng), random_scalar(grid, rng)])
-    vh = grid.fft(v)
+    vh = grid.rfft(v)
     expect = np.empty_like(vh)
     for i in range(grid.n):
-        for j in range(grid.n):
+        for j in range(grid.n // 2 + 1):
             k = np.array([grid.k1[i, j], grid.k2[i, j]])
             coeff = np.array([vh[0, i, j], vh[1, i, j]])
             if k @ k == 0:
@@ -112,7 +133,7 @@ def test_leray_idempotent_self_adjoint(grid):
     lhs = grid.inner(pu, v)
     rhs = grid.inner(u, grid.leray(v))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
-    assert grid.divergence_residual(grid.fft(pu)) <= 1e-12
+    assert grid.divergence_residual(grid.rfft(pu)) <= 1e-12
 
 
 def test_freq_cutoff_examples(grid):
@@ -149,5 +170,38 @@ def test_dealias_examples(grid):
 def test_random_velocity_invariants(grid):
     rng = np.random.default_rng(7)
     v = random_velocity(grid, rng)
-    assert grid.divergence_residual(grid.fft(v)) <= 1e-12
+    assert grid.divergence_residual(grid.rfft(v)) <= 1e-12
     assert np.abs(v.mean(axis=(-2, -1))).max() <= 1e-14
+
+
+def full_lattice_random_scalar(n, length, rng, kmin=1.0, kmax=None, decay=1.5):
+    """Reference synthesis of random_scalar on the full n x n lattice."""
+    if kmax is None:
+        kmax = n / 4.0
+    idx = np.fft.fftfreq(n, 1.0 / n)
+    idx[n // 2] = n // 2
+    scale = 2.0 * np.pi / length
+    kx, ky = np.meshgrid(idx * scale, idx * scale, indexing="ij")
+    kmag = np.sqrt(kx**2 + ky**2)
+    band = (kmag >= kmin * scale) & (kmag <= kmax * scale)
+    amp = np.zeros((n, n))
+    amp[band] = (kmag[band] / scale) ** (-decay)
+    phases = rng.uniform(0.0, 2.0 * np.pi, (n, n))
+    fh = amp * np.exp(1j * phases) * n**2
+    f = scipy.fft.ifft2(fh, axes=(-2, -1), workers=1).real
+    f = f - f.mean(axis=(-2, -1), keepdims=True)
+    peak = np.abs(f).max()
+    return f / peak if peak > 0 else f
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("length", [2 * np.pi, 1.0, 3.7])
+def test_random_scalar_bitwise_pinned(n, length):
+    # seeded fields (and the constants fitted on them) must not move
+    g = Grid(n, length)
+    got = random_scalar(g, np.random.default_rng(11), kmax=n / 3.0, decay=2.0)
+    expect = full_lattice_random_scalar(n, length, np.random.default_rng(11),
+                                        kmax=n / 3.0, decay=2.0)
+    assert np.array_equal(got, expect)
+    got = random_scalar(g, np.random.default_rng(12))
+    assert np.array_equal(got, full_lattice_random_scalar(n, length, np.random.default_rng(12)))

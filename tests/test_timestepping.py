@@ -8,6 +8,7 @@ from qflow.timestepping import (
     Perturbation,
     Stepper,
     TimeConfig,
+    Trajectory,
     run,
     step,
     twin_run,
@@ -97,7 +98,7 @@ def test_run_preserves_invariants(grid):
     init = smooth_state(grid)
     traj = run(grid, init, params(), TimeConfig(dt=5e-3, t_end=0.05), state_stride=5)
     for st in traj.states:
-        assert grid.divergence_residual(grid.fft(st.u)) <= 1e-12
+        assert grid.divergence_residual(grid.rfft(st.u)) <= 1e-12
         assert np.abs(st.u.mean(axis=(-2, -1))).max() <= 1e-15
 
 
@@ -127,12 +128,10 @@ def test_blow_up_detection(grid):
 def upsample(gs: Grid, f: np.ndarray, gb: Grid) -> np.ndarray:
     """Evaluate the same band-limited trig polynomial on a finer grid."""
     half = gs.n // 2
-    idx_s = np.r_[0:half, -half + 1:0].astype(int)
-    fh_small = gs.fft(f) / gs.n**2
-    out = np.zeros(f.shape[:-2] + (gb.n, gb.n), dtype=complex)
-    comps = np.ix_(range(f.shape[0]), idx_s, idx_s)
-    out[comps] = fh_small[comps]
-    return gb.ifft(out * gb.n**2)
+    rows = np.r_[0:half, -half + 1:0].astype(int)  # Nyquist row and column dropped
+    out = np.zeros(f.shape[:-2] + (gb.n, gb.n // 2 + 1), dtype=complex)
+    out[..., rows, :half] = gs.rfft(f)[..., rows, :half] / gs.n**2
+    return gb.irfft(out * gb.n**2)
 
 
 def test_self_convergence_under_refinement():
@@ -153,10 +152,11 @@ def test_self_convergence_under_refinement():
         gs, ss = finals[n_small]
         gb, sb = finals[128]
         half = n_small // 2
-        idx = np.r_[0:half, -half + 1:0].astype(int)
-        sub_b = gb.fft(sb.u)[np.ix_(range(2), idx, idx)] / gb.n**2
-        sub_s = gs.fft(ss.u)[np.ix_(range(2), idx, idx)] / gs.n**2
-        return np.linalg.norm(sub_b - sub_s)
+        rows = np.r_[0:half, -half + 1:0].astype(int)
+        sub_b = gb.rfft(sb.u)[:, rows, :half] / gb.n**2
+        sub_s = gs.rfft(ss.u)[:, rows, :half] / gs.n**2
+        # Parseval weights: each interior column stands for its conjugate twin
+        return np.sqrt(np.sum(gs.parseval[:, :half] * np.abs(sub_b - sub_s) ** 2))
 
     gap_32, gap_64 = gap(32), gap(64)
     assert gap_64 < gap_32
@@ -170,7 +170,7 @@ def test_friedrichs_mode_preserves_invariants(grid):
     p = replace(params(), n_cutoff=4)
     traj = run(grid, init, p, TimeConfig(dt=5e-3, t_end=0.05), state_stride=2)
     for st in traj.states:
-        assert grid.divergence_residual(grid.fft(st.u)) <= 1e-12
+        assert grid.divergence_residual(grid.rfft(st.u)) <= 1e-12
         assert np.abs(st.u.mean(axis=(-2, -1))).max() <= 1e-15
     assert np.all(np.isfinite(traj.series["energy"]))
 
@@ -185,6 +185,23 @@ def test_twin_zero_perturbation(grid):
     init = smooth_state(grid)
     diff = twin_run(grid, init, Perturbation(0.0), params(), TimeConfig(dt=5e-3, t_end=0.05))
     assert np.abs(diff.series["phi"]).max() == 0.0
+    # one run record: the twin's states are the two members' final states
+    assert isinstance(diff, Trajectory) and len(diff.states) == 2
+    assert diff.states[0].t == diff.times[-1]
+    assert np.array_equal(diff.states[0].u, diff.states[1].u)
+
+
+def test_twin_abort_flushes_partial_series():
+    # an explicit step far past the stability limit leaves the finite range
+    g = Grid(16)
+    init = smooth_state(g, amp_u=0.5, amp_q=2.0, kmax=4)
+    p = params(a=-5.0, b=0.0, c=1.0, gamma=2.0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(BlowUpError, match="non-finite") as info:
+        twin_run(g, init, Perturbation(1e-3, seed=1), p, TimeConfig(dt=2.0, t_end=200.0))
+    times, series = info.value.partial
+    assert len(times) >= 1 and len(series["phi"]) == len(times)
+    assert info.value.diagnostics["steps_completed"] == len(times) - 1
 
 
 def test_twin_quadratic_scaling(grid):
