@@ -127,7 +127,10 @@ def _write_reports(path: Path, reports) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    grid = Grid(args.n)
+    try:
+        grid = Grid(args.n)
+    except ValueError as err:
+        raise SystemExit(f"error: {err}")
     trials, seed = args.trials, args.seed
     registry = {
         "partition": lambda: checks.partition_unity_check(grid),

@@ -12,9 +12,11 @@ Frobenius norm is |Q|^2 = sum_a c_a^2.  The velocity is planar; the
 velocity gradient is embedded as a 3x3 matrix with zero third row and
 column, convention (grad u)_{ij} = d_i u_j.
 
-Every pseudo-spectral product is dealiased with the two-thirds rule; the
-cubic bulk term tr(Q^2) Q is formed as two successive dealiased binary
-products (first tr(Q^2), then the multiplication by Q).
+Pointwise products are evaluated in closed form on the coefficient planes
+(no dense 3x3 matrices on the stepping path).  Dealiasing uses the
+two-thirds rule, applied once to each summed output; the cubic bulk term
+tr(Q^2) Q is formed as two successive dealiased binary products (first
+tr(Q^2), then the multiplication by Q).
 """
 
 from __future__ import annotations
@@ -88,7 +90,11 @@ class State:
         return State(self.u.copy(), self.q.copy(), self.t)
 
 
-# -- pointwise S0 algebra ------------------------------------------------------
+# -- pointwise S0 algebra in closed form ------------------------------------------
+#
+# In the E basis every pointwise product the model needs is a fixed bilinear
+# map of coefficient planes; the dense (n, n, 3, 3) expansion through
+# q_to_mat / vorticity_mat is kept only as an independent oracle.
 
 
 def trace_q2(q: np.ndarray) -> np.ndarray:
@@ -102,10 +108,46 @@ def trace_q3(q: np.ndarray) -> np.ndarray:
     return np.trace(m @ m @ m, axis1=-2, axis2=-1)
 
 
-def q_square_mat(q: np.ndarray) -> np.ndarray:
-    """Dense pointwise Q^2, shape (n, n, 3, 3)."""
-    m = q_to_mat(q)
-    return m @ m
+def s0_square(q: np.ndarray) -> np.ndarray:
+    """Pointwise proj_S0(Q^2)_a = sum_bc C_abc c_b c_c with C_abc = tr(E_a E_b E_c).
+
+    Of the 125 constants C_abc, 25 are nonzero; they are collected here
+    term by term.
+    """
+    c1, c2, c3, c4, c5 = q
+    out = np.empty_like(q)
+    out[0] = (2.0 / _S6) * c1 * c2 + (c4 * c4 - c5 * c5) / (2.0 * _S2)
+    out[1] = (c1 * c1 - c2 * c2 + c3 * c3 - 0.5 * (c4 * c4 + c5 * c5)) / _S6
+    out[2] = (2.0 / _S6) * c2 * c3 + c4 * c5 / _S2
+    out[3] = (c1 * c4 + c3 * c5) / _S2 - c2 * c4 / _S6
+    out[4] = (c3 * c4 - c1 * c5) / _S2 - c2 * c5 / _S6
+    return out
+
+
+def corotate(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Commutator Omega Q - Q Omega for the planar spin Omega_12 = -Omega_21 = w.
+
+    It generates rotations about e3: E2 stays fixed, (E1, E3) turn at rate
+    2w and (E4, E5) at rate w.
+    """
+    out = np.empty_like(q)
+    out[0] = 2.0 * w * q[2]
+    out[1] = 0.0
+    out[2] = -2.0 * w * q[0]
+    out[3] = w * q[4]
+    out[4] = -w * q[3]
+    return out
+
+
+def commutator12(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(Q R - R Q)_12, the one independent entry of the antisymmetric planar block."""
+    return q[0] * r[2] - q[2] * r[0] + 0.5 * (q[3] * r[4] - q[4] * r[3])
+
+
+def gradient_gram(d1q: np.ndarray, d2q: np.ndarray) -> np.ndarray:
+    """(grad Q o grad Q)_ij = tr(d_i Q d_j Q) as the planes (11, 12, 22), shape (3, n, n)."""
+    return np.stack([np.sum(d1q * d1q, axis=0), np.sum(d1q * d2q, axis=0),
+                     np.sum(d2q * d2q, axis=0)])
 
 
 def random_qtensor(
@@ -141,30 +183,42 @@ def vorticity_mat(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 
 # -- model terms ---------------------------------------------------------------
+#
+# The termwise physical-space operators below transform their own inputs;
+# tests use them as the reference for `nonlinear`, which evaluates the same
+# closed forms on one set of transformed planes.
+
+
+def _bulk_products(grid: Grid, q: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Products b proj_S0(Q^2) - c tr(Q^2) Q of the bulk force, tr(Q^2) dealiased first."""
+    out = s0_square(q)
+    out *= p.b
+    out -= (p.c * grid.dealias(trace_q2(q)))[None] * q
+    return out
 
 
 def bulk_force(q: np.ndarray, p: ModelParams, grid: Grid | None = None) -> np.ndarray:
     """Landau-de Gennes bulk force -aQ + b(Q^2 - tr(Q^2)Id/3) - c tr(Q^2) Q.
 
     With a grid supplied the quadratic and cubic products are dealiased
-    (two-thirds rule, quadratic first); without one the evaluation is
-    plain pointwise matrix arithmetic.
+    (two-thirds rule, tr(Q^2) first); without one the evaluation is plain
+    pointwise arithmetic.
     """
     if grid is None:
-        q2 = mat_to_q(q_square_mat(q))  # projection removes the trace part
-        t2 = trace_q2(q)
-        return -p.a * q + p.b * q2 - p.c * t2[None] * q
-    q2 = grid.dealias(mat_to_q(q_square_mat(q)))
-    t2 = grid.dealias(trace_q2(q))
-    cubic = grid.dealias(t2[None] * q)
-    return -p.a * q + p.b * q2 - p.c * cubic
+        return -p.a * q + p.b * s0_square(q) - p.c * trace_q2(q)[None] * q
+    return -p.a * q + grid.dealias(_bulk_products(grid, q, p))
+
+
+def bulk_force_hat(grid: Grid, q: np.ndarray, qh: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Dealiased bulk force P(Q) as half-spectrum coefficients; qh is rfft(Q)."""
+    return grid.dealias_mask * grid.rfft(_bulk_products(grid, q, p)) - p.a * qh
 
 
 def corotation(grid: Grid, q: np.ndarray, u: np.ndarray, dealias: bool = True) -> np.ndarray:
     """Commutator Omega Q - Q Omega rotating the tensor with the flow."""
-    om = vorticity_mat(grid, u)
-    m = q_to_mat(q)
-    out = mat_to_q(om @ m - m @ om)
+    uh = grid.rfft(u)
+    w = grid.irfft(0.5 * (grid.deriv_hat(uh[1], 1) - grid.deriv_hat(uh[0], 2)))
+    out = corotate(w, q)
     return grid.dealias(out) if dealias else out
 
 
@@ -175,23 +229,44 @@ def advect(grid: Grid, u: np.ndarray, f: np.ndarray, dealias: bool = True) -> np
     return grid.dealias(out) if dealias else out
 
 
+def _stress_planes(out: np.ndarray, q: np.ndarray, lap: np.ndarray, d1q: np.ndarray,
+                   d2q: np.ndarray) -> np.ndarray:
+    """Write the four stress planes (Q lapQ - lapQ Q)_12, G_11, G_12, G_22 into out.
+
+    G = grad Q o grad Q; the inputs are the physical planes Q, lap Q, d1 Q
+    and d2 Q, and out has shape (4, n, n).
+    """
+    out[0] = commutator12(q, lap)
+    out[1:] = gradient_gram(d1q, d2q)
+    return out
+
+
+def _termwise_stress_planes(grid: Grid, q: np.ndarray) -> np.ndarray:
+    """_stress_planes of Q, transforming its own derivative planes."""
+    qh = grid.rfft(q)
+    return _stress_planes(np.empty((4,) + q.shape[1:]), q, grid.irfft(grid.laplacian_hat(qh)),
+                          grid.irfft(grid.deriv_hat(qh, 1)), grid.irfft(grid.deriv_hat(qh, 2)))
+
+
+def _stress_div_hat(grid: Grid, sh: np.ndarray) -> np.ndarray:
+    """(div S)_j = d_i S_ij of the planar stress from its four spectral planes.
+
+    S_11 = -G_11, S_12 = C - G_12, S_21 = -C - G_12, S_22 = -G_22 with C the
+    commutator entry; shape (2, n, n//2+1).
+    """
+    ik1, ik2 = 1j * grid.k1, 1j * grid.k2
+    comm, g11, g12, g22 = sh
+    return np.stack([-ik1 * g11 - ik2 * (g12 + comm), ik1 * (comm - g12) - ik2 * g22])
+
+
 def stress_tensor(grid: Grid, q: np.ndarray, dealias: bool = True) -> np.ndarray:
     """Upper-left 2x2 block of Q lap(Q) - lap(Q) Q - grad(Q) o grad(Q).
 
     Only this block feeds the planar force; (grad Q o grad Q)_{ij} is
     tr(d_i Q d_j Q).  Shape (2, 2, n, n).
     """
-    qh = grid.rfft(q)
-    lap = grid.irfft(grid.laplacian_hat(qh))
-    dq = (grid.irfft(grid.deriv_hat(qh, 1)), grid.irfft(grid.deriv_hat(qh, 2)))
-
-    m = q_to_mat(q)
-    lm = q_to_mat(lap)
-    comm = m @ lm - lm @ m  # antisymmetric
-    sigma = np.empty((2, 2, grid.n, grid.n))
-    for i in range(2):
-        for j in range(2):
-            sigma[i, j] = comm[..., i, j] - np.sum(dq[i] * dq[j], axis=0)
+    comm, g11, g12, g22 = _termwise_stress_planes(grid, q)
+    sigma = np.array([[-g11, comm - g12], [-comm - g12, -g22]])
     return grid.dealias(sigma) if dealias else sigma
 
 
@@ -202,28 +277,88 @@ def elastic_stress_div(grid: Grid, q: np.ndarray, p: ModelParams) -> np.ndarray:
     (div S)_j = d_i S_{ij}, which is the convention under which the
     corotation and stress contributions to the energy cancel exactly.
     """
-    sh = grid.rfft(stress_tensor(grid, q, dealias=False))
-    sh = sh * grid.dealias_mask
-    out = np.empty((2, grid.n, grid.n))
-    for j in range(2):
-        out[j] = grid.irfft(grid.deriv_hat(sh[0, j], 1) + grid.deriv_hat(sh[1, j], 2))
-    return p.L * out
+    sh = grid.dealias_mask * grid.rfft(_termwise_stress_planes(grid, q))
+    return p.L * grid.irfft(_stress_div_hat(grid, sh))
 
 
-def nonlinear(grid: Grid, s: State, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+def _gradient_planes(grid: Grid, fh: np.ndarray, ik: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Physical (d1 f, d2 f) from the coefficients fh, in one batched transform.
+
+    The spectral products are written straight into the transform's input
+    buffer, so no stacked copy is made.
+    """
+    buf = np.empty((2,) + fh.shape, dtype=complex)
+    np.multiply(ik[0], fh, out=buf[0])
+    np.multiply(ik[1], fh, out=buf[1])
+    return grid.irfft(buf)
+
+
+def _momentum_hat(grid: Grid, u: np.ndarray, du: np.ndarray, q: np.ndarray, qh: np.ndarray,
+                  dq: np.ndarray, p: ModelParams) -> np.ndarray:
+    """P[-u.grad(u) + L div S] from the physical planes; du[i-1] = d_i u, dq[i-1] = d_i Q.
+
+    The six momentum planes (advection, the stress commutator entry and
+    grad Q o grad Q) are dealiased once, after their products.
+    """
+    mom = np.empty((6,) + u.shape[1:])
+    mom[:2] = -(u[0] * du[0] + u[1] * du[1])
+    _stress_planes(mom[2:], q, grid.irfft(grid.laplacian_hat(qh)), dq[0], dq[1])
+    mh = grid.rfft(mom)
+    mh *= grid.dealias_mask
+    return grid.leray_hat(mh[:2] + p.L * _stress_div_hat(grid, mh[2:]))
+
+
+def _tensor_hat(grid: Grid, u: np.ndarray, w: np.ndarray, q: np.ndarray, qh: np.ndarray,
+                dq: np.ndarray, p: ModelParams) -> np.ndarray:
+    """-u.grad(Q) + Omega Q - Q Omega + gamma P(Q) from the physical planes, spin w = Omega_12.
+
+    The five summed product planes are dealiased once; -gamma a Q is added
+    in spectral space.
+    """
+    n_q = _bulk_products(grid, q, p)
+    n_q *= p.gamma
+    n_q += corotate(w, q)
+    n_q -= u[0] * dq[0]
+    n_q -= u[1] * dq[1]
+    n_qh = grid.rfft(n_q)
+    n_qh *= grid.dealias_mask
+    n_qh -= (p.gamma * p.a) * qh
+    return n_qh
+
+
+def nonlinear(
+    grid: Grid, uh: np.ndarray, qh: np.ndarray, p: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
     """Non-stiff right-hand sides (N_u, N_Q) for the integrating-factor scheme.
 
+    Spectral in, spectral out: uh (2, n, n//2+1) and qh (5, n, n//2+1) are
+    half-spectrum coefficients, and so are the results.
     N_Q = -u.grad(Q) + Omega Q - Q Omega + gamma P(Q) and
     N_u = P[-u.grad(u) + L div{...}], Leray-projected and mean-zero; the
     stiff terms nu lap(u) and gamma L lap(Q) are the stepper's.  With a
     Friedrichs index n the transport velocity is annulus-cut once and the
     momentum nonlinearities are wrapped as J_n P(...), as in the truncated
     system.
+
+    One call transforms the 26 physical planes u, grad u, Q, d1 Q, d2 Q and
+    lap Q, evaluates the closed-form S0 products, and transforms back the
+    summed products with one dealias mask per output (5 planes for N_Q,
+    6 momentum planes); only tr(Q^2) inside the cubic term takes its own
+    dealiased round trip.
     """
-    u = s.u if p.n_cutoff is None else grid.freq_cutoff(s.u, p.n_cutoff)
-    n_q = -advect(grid, u, s.q) + corotation(grid, s.q, u) + p.gamma * bulk_force(s.q, p, grid)
-    n_uh = grid.leray_hat(grid.rfft(-advect(grid, u, u) + elastic_stress_div(grid, s.q, p)))
+    g = grid
     if p.n_cutoff is not None:
-        n_uh = grid.freq_cutoff_hat(n_uh, p.n_cutoff)
+        uh = g.freq_cutoff_hat(uh, p.n_cutoff)
+    ik = (1j * g.k1, 1j * g.k2)
+    u = g.irfft(uh)
+    q = g.irfft(qh)
+    dq = _gradient_planes(g, qh, ik)
+    du = _gradient_planes(g, uh, ik)
+    w = 0.5 * (du[0, 1] - du[1, 0])
+    n_uh = _momentum_hat(g, u, du, q, qh, dq, p)
+    del du  # the tensor equation needs only the spin w
+    n_qh = _tensor_hat(g, u, w, q, qh, dq, p)
+    if p.n_cutoff is not None:
+        n_uh = g.freq_cutoff_hat(n_uh, p.n_cutoff)
     n_uh[:, 0, 0] = 0.0
-    return grid.irfft(n_uh), n_q
+    return n_uh, n_qh

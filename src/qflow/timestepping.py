@@ -9,7 +9,9 @@ everything else is explicit.  One step of the Heun-type scheme:
     U*   = E (U_n + dt k1)
     U_n1 = E U_n + dt/2 (E k1 + N(U*))
 
-which is exact for vanishing N and second order otherwise.
+which is exact for vanishing N and second order otherwise.  Both stages
+run on half-spectrum coefficients: a step transforms u and Q once on entry
+and once on exit.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicPartition
-from .qtensor import ModelParams, State, bulk_force, nonlinear, trace_q2
+from .qtensor import ModelParams, State, bulk_force_hat, nonlinear, trace_q2
 from .spectral import Grid, random_scalar, random_velocity
+
+# A run aborts once its energy exceeds this multiple of the initial energy.
+ENERGY_GUARD = 1e6
 
 
 class BlowUpError(RuntimeError):
@@ -108,18 +113,13 @@ class Stepper:
         g, p = self.grid, self.params
         eu, eq = self._multipliers(dt)
 
-        k1u, k1q = nonlinear(g, s, p)
-        pred = State(
-            g.irfft(eu * g.rfft(s.u + dt * k1u)),
-            g.irfft(eq * g.rfft(s.q + dt * k1q)),
-            s.t + dt,
-        )
-        k2u, k2q = nonlinear(g, pred, p)
+        uh, qh = g.rfft(s.u), g.rfft(s.q)
+        k1u, k1q = nonlinear(g, uh, qh, p)
+        k2u, k2q = nonlinear(g, eu * (uh + dt * k1u), eq * (qh + dt * k1q), p)
 
-        uh = eu * (g.rfft(s.u) + 0.5 * dt * g.rfft(k1u)) + 0.5 * dt * g.rfft(k2u)
-        uh = g.leray_hat(uh)
+        uh = g.leray_hat(eu * (uh + 0.5 * dt * k1u) + 0.5 * dt * k2u)
         uh[:, 0, 0] = 0.0
-        qh = eq * (g.rfft(s.q) + 0.5 * dt * g.rfft(k1q)) + 0.5 * dt * g.rfft(k2q)
+        qh = eq * (qh + 0.5 * dt * k1q) + 0.5 * dt * k2q
         out = State(g.irfft(uh), g.irfft(qh), s.t + dt)
         if not (np.all(np.isfinite(out.u)) and np.all(np.isfinite(out.q))):
             raise BlowUpError(
@@ -148,12 +148,12 @@ def standard_probes(
     Always includes the L^2/H^1-level energy bookkeeping and the L^{2p}
     norms of Q for p in {1, 2, 3}; for every s in hs_list adds the
     Besov-flavored homogeneous-Sobolev channels used by the growth checks.
+    The P(Q) pairings are taken in spectral space.
     """
     g = grid
     uh = g.rfft(s.u)
     qh = g.rfft(s.q)
-    lapq = g.irfft(g.laplacian_hat(qh))
-    pq = bulk_force(s.q, p, g)
+    pqh = bulk_force_hat(g, s.q, qh, p)
 
     out: dict[str, float] = {}
     out["l2_u2"] = g.inner(s.u, s.u)
@@ -162,8 +162,8 @@ def standard_probes(
     out["gradq2"] = g.inner_hat(qh, qh, g.ksq)
     out["lapq2"] = g.inner_hat(qh, qh, g.ksq**2)
     out["energy"] = out["l2_u2"] + out["l2_q2"] + p.L * out["gradq2"]
-    out["pq_q"] = g.inner(pq, s.q)
-    out["pq_lapq"] = g.inner(pq, lapq)
+    out["pq_q"] = g.inner_hat(pqh, qh)
+    out["pq_lapq"] = -g.inner_hat(pqh, qh, g.ksq)
     for pex in (1, 2, 3):
         out[f"l2p{pex}_q"] = g.norm_lp(s.q, 2 * pex)
     out["max_u"] = float(np.sqrt(np.sum(s.u**2, axis=0)).max(initial=0.0))
@@ -195,7 +195,7 @@ def run(
     tc: TimeConfig,
     hs_probes: tuple[float, ...] = (),
     state_stride: int = 0,
-    energy_guard: float = 1e6,
+    energy_guard: float = ENERGY_GUARD,
 ) -> Trajectory:
     """Advance to t_end recording every diagnostic channel at every step.
 
@@ -212,27 +212,51 @@ def run(
     k = 0
     t_final = init.t + tc.t_end
     while s.t < t_final - 1e-12:
-        dt = stepper.auto_dt(s) if tc.dt == "auto" else float(tc.dt)
-        dt = min(dt, t_final - s.t)
+        dt, t = _next_step(stepper, s, init.t, k, t_final)
         try:
             s = stepper.step(s, dt)
         except BlowUpError as err:
             raise _flush(err, times, rows)
+        s.t = t
         k += 1
         times.append(s.t)
         row = standard_probes(grid, part, s, p, hs_probes)
         rows.append(row)
-        if row["energy"] > energy_guard * e0:
-            raise _flush(BlowUpError(
-                "energy guard tripped", s.t,
-                {"energy": row["energy"], "energy0": e0},
-            ), times, rows)
+        _guard_energy(row["energy"], e0, energy_guard, s.t, times, rows)
         if state_stride > 0 and k % state_stride == 0:
             states.append(s.copy())
     if not states or states[-1].t != s.t:
         states.append(s.copy())
 
     return Trajectory(grid, p, np.array(times), _columns(rows), states)
+
+
+def _next_step(stepper: Stepper, s: State, t0: float, k: int, t_final: float
+               ) -> tuple[float, float]:
+    """Size and end time of the step after k steps from t0.
+
+    A fixed dt ends step k+1 at t0 + (k+1) dt rather than at a running float
+    sum.  A step that would pass t_final (beyond a 1e-12 slack) is shortened
+    to end there, and one that ends within the slack ends exactly on t_final.
+    """
+    if stepper.tc.dt == "auto":
+        dt = min(stepper.auto_dt(s), t_final - s.t)
+        return dt, s.t + dt
+    dt = float(stepper.tc.dt)
+    t = t0 + (k + 1) * dt
+    if t > t_final + 1e-12:
+        return t_final - s.t, t_final
+    if t > t_final - 1e-12:
+        return dt, t_final
+    return dt, t
+
+
+def _guard_energy(energy: float, e0: float, guard: float, t: float,
+                  times: list[float], rows: list[dict[str, float]], **tags: float) -> None:
+    """Abort, flushing the series so far, once energy exceeds guard times e0."""
+    if energy > guard * e0:
+        raise _flush(BlowUpError("energy guard tripped", t,
+                                 {"energy": energy, "energy0": e0, **tags}), times, rows)
 
 
 def _columns(rows: list[dict[str, float]]) -> dict[str, np.ndarray]:
@@ -282,8 +306,9 @@ def twin_run(
     + L ||grad dQ||^2_{H^-1/2}, its dissipation channels, the background
     norms entering the Gronwall majorant, and the empirical rate
     chi = Phi'/Phi wherever Phi > 0.  The record's states are the two
-    members' final states; an aborting step flushes the partial series
-    into the raised error.
+    members' final states.  Either member's energy passing ENERGY_GUARD
+    times its initial value aborts the run, as in run(); an aborting step
+    flushes the partial series into the raised error.
     """
     part = DyadicPartition(grid)
     stepper = Stepper(grid, p, tc)
@@ -292,17 +317,24 @@ def twin_run(
 
     times = [sa.t]
     rows = [_twin_probes(grid, part, sa, sb, p)]
+    e0 = [max(_member_energy(rows[0], m, p), 1e-300) for m in (1, 2)]
     t_final = init.t + tc.t_end
+    k = 0
     while sa.t < t_final - 1e-12:
-        dt = stepper.auto_dt(sa) if tc.dt == "auto" else float(tc.dt)
-        dt = min(dt, t_final - sa.t)
+        dt, t = _next_step(stepper, sa, init.t, k, t_final)
         try:
             sa = stepper.step(sa, dt)
             sb = stepper.step(sb, dt)
         except BlowUpError as err:
             raise _flush(err, times, rows)
-        times.append(sa.t)
-        rows.append(_twin_probes(grid, part, sa, sb, p))
+        sa.t = sb.t = t
+        k += 1
+        times.append(t)
+        row = _twin_probes(grid, part, sa, sb, p)
+        rows.append(row)
+        for m, e0_m in zip((1, 2), e0):
+            _guard_energy(_member_energy(row, m, p), e0_m, ENERGY_GUARD, t, times, rows,
+                          member=float(m))
 
     series = _columns(rows)
     t = np.array(times)
@@ -339,6 +371,11 @@ def _twin_probes(
         out[f"gq{tag}_l22"] = g.inner_hat(qh, qh, g.ksq)
         out[f"lq{tag}_l22"] = g.inner_hat(qh, qh, g.ksq**2)
     return out
+
+
+def _member_energy(row: dict[str, float], m: int, p: ModelParams) -> float:
+    """Energy of twin member m (1 or 2) from its probe columns, as in run()."""
+    return row[f"u{m}_l22"] + row[f"q{m}_l22"] + p.L * row[f"gq{m}_l22"]
 
 
 def _log_derivative(t: np.ndarray, phi: np.ndarray) -> np.ndarray:

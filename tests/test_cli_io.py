@@ -110,6 +110,14 @@ def test_check_exit_code_on_failure(monkeypatch):
     assert main(["check", "partition", "--n", "32"]) == 1
 
 
+def test_cli_check_rejects_bad_grid_and_threads(monkeypatch):
+    with pytest.raises(SystemExit, match="error: grid size must be a power of two"):
+        main(["check", "partition", "--n", "12"])
+    monkeypatch.setenv("QFLOW_THREADS", "x")
+    with pytest.raises(SystemExit, match="error: QFLOW_THREADS"):
+        main(["check", "partition", "--n", "16"])
+
+
 def test_fft_workers_env(monkeypatch):
     from qflow.spectral import fft_workers
 
@@ -274,7 +282,9 @@ def test_cli_twin_blow_up_aborts(tmp_path, capsys):
     cfg.write_text(text.replace("amplitude_q = 0.3", "amplitude_q = 2.0"))
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["twin", str(cfg), "--eps", "1e-3"]) == 1
-    assert "ABORT non-finite state" in capsys.readouterr().err
+    # the energy guard, which twin runs share with simulate, trips before the
+    # state leaves the finite range
+    assert "ABORT energy guard tripped" in capsys.readouterr().err
     assert (out / "twin_eps0.001_seed0.csv").exists()  # partial series flushed
 
 

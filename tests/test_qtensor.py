@@ -10,12 +10,16 @@ from qflow.qtensor import (
     State,
     advect,
     bulk_force,
+    commutator12,
+    corotate,
     corotation,
     elastic_stress_div,
+    gradient_gram,
     mat_to_q,
     nonlinear,
     q_to_mat,
     random_qtensor,
+    s0_square,
     stress_tensor,
     trace_q2,
     trace_q3,
@@ -38,8 +42,9 @@ def params(**kw):
 
 def full_rhs(grid, s, p):
     """Full (u, Q) right-hand sides: nonlinear plus nu lap(u) and gamma L lap(Q)."""
-    n_u, n_q = nonlinear(grid, s, p)
-    return n_u + p.nu * grid.laplacian(s.u), n_q + p.gamma * p.L * grid.laplacian(s.q)
+    n_uh, n_qh = nonlinear(grid, grid.rfft(s.u), grid.rfft(s.q), p)
+    return (grid.irfft(n_uh) + p.nu * grid.laplacian(s.u),
+            grid.irfft(n_qh) + p.gamma * p.L * grid.laplacian(s.q))
 
 
 def tensor_rhs(grid, s, p):
@@ -251,14 +256,47 @@ def test_nonlinear_friedrichs_matches_termwise_cut(grid):
     rng = np.random.default_rng(16)
     p = params(n_cutoff=4)
     s = State(random_velocity(grid, rng), random_qtensor(grid, rng))
-    n_u, n_q = nonlinear(grid, s, p)
+    n_uh, n_qh = nonlinear(grid, grid.rfft(s.u), grid.rfft(s.q), p)
+    n_u, n_q = grid.irfft(n_uh), grid.irfft(n_qh)
     ucut = grid.freq_cutoff(s.u, 4)
     advh = grid.freq_cutoff_hat(grid.leray_hat(-grid.rfft(advect(grid, ucut, ucut))), 4)
     stressh = grid.freq_cutoff_hat(grid.leray_hat(grid.rfft(elastic_stress_div(grid, s.q, p))), 4)
     expect = grid.irfft(advh + stressh)
     assert np.abs(n_u - expect).max() <= 1e-12 * np.abs(expect).max()
     ref_q = -advect(grid, ucut, s.q) + corotation(grid, s.q, ucut) + p.gamma * bulk_force(s.q, p, grid)
-    assert np.array_equal(n_q, ref_q)
+    assert np.abs(n_q - ref_q).max() <= 1e-12 * np.abs(ref_q).max()
+
+
+@pytest.mark.parametrize("n, length", [(32, 2 * np.pi), (64, 3.7)])
+def test_closed_forms_match_dense_oracle(n, length):
+    g = Grid(n, length)
+    rng = np.random.default_rng(17)
+    q = random_qtensor(g, rng)
+    u = random_velocity(g, rng)
+    m = q_to_mat(q)
+
+    def close(got, expect):
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+    close(s0_square(q), mat_to_q(m @ m))
+    om = vorticity_mat(g, u)
+    close(corotate(om[..., 0, 1], q), mat_to_q(om @ m - m @ om))
+    lap = g.laplacian(q)
+    lm = q_to_mat(lap)
+    close(commutator12(q, lap), (m @ lm - lm @ m)[..., 0, 1])
+    d1q, d2q = g.deriv(q, 1), g.deriv(q, 2)
+    dm = (q_to_mat(d1q), q_to_mat(d2q))
+    close(gradient_gram(d1q, d2q),
+          np.stack([np.trace(dm[i] @ dm[j], axis1=-2, axis2=-1) for i, j in ((0, 0), (0, 1), (1, 1))]))
+
+
+def test_corotation_generator_structure():
+    # E2 is fixed; (E1, E3) turn at rate 2w and (E4, E5) at rate w
+    gen = np.stack([corotate(np.float64(1.0), e) for e in np.eye(5)], axis=1)
+    expect = np.zeros((5, 5))
+    expect[0, 2], expect[2, 0] = 2.0, -2.0
+    expect[3, 4], expect[4, 3] = 1.0, -1.0
+    assert np.array_equal(gen, expect)
 
 
 def test_nonlinear_is_the_only_right_hand_side():

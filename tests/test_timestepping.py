@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qflow import timestepping
+from qflow.dyadic import DyadicPartition
 from qflow.qtensor import ModelParams, State, random_qtensor
 from qflow.spectral import Grid, random_velocity
 from qflow.timestepping import (
@@ -10,6 +12,7 @@ from qflow.timestepping import (
     TimeConfig,
     Trajectory,
     run,
+    standard_probes,
     step,
     twin_run,
 )
@@ -191,8 +194,10 @@ def test_twin_zero_perturbation(grid):
     assert np.array_equal(diff.states[0].u, diff.states[1].u)
 
 
-def test_twin_abort_flushes_partial_series():
+def test_twin_abort_flushes_partial_series(monkeypatch):
     # an explicit step far past the stability limit leaves the finite range
+    # (the energy guard is switched off so that the non-finite abort is reached)
+    monkeypatch.setattr(timestepping, "ENERGY_GUARD", np.inf)
     g = Grid(16)
     init = smooth_state(g, amp_u=0.5, amp_q=2.0, kmax=4)
     p = params(a=-5.0, b=0.0, c=1.0, gamma=2.0)
@@ -202,6 +207,39 @@ def test_twin_abort_flushes_partial_series():
     times, series = info.value.partial
     assert len(times) >= 1 and len(series["phi"]) == len(times)
     assert info.value.diagnostics["steps_completed"] == len(times) - 1
+
+
+def test_twin_energy_guard_flushes_partial_series(grid, monkeypatch):
+    # the guard of run() applies to each twin member; the abort carries the series
+    monkeypatch.setattr(timestepping, "ENERGY_GUARD", 2.0)
+    p = params(a=-5.0, b=0.0, c=0.01, gamma=2.0)
+    init = smooth_state(grid, amp_u=0.0, amp_q=0.2)
+    with pytest.raises(BlowUpError, match="energy guard") as info:
+        twin_run(grid, init, Perturbation(1e-3, seed=1), p, TimeConfig(dt=5e-3, t_end=3.0))
+    times, series = info.value.partial
+    assert len(times) >= 2 and len(series["phi"]) == len(times)
+    assert info.value.diagnostics["member"] in (1.0, 2.0)
+    energy = series["u1_l22"] + series["q1_l22"] + p.L * series["gq1_l22"]
+    assert energy[-1] > 2.0 * energy[0] >= energy[-2]
+
+
+def test_fixed_dt_time_is_not_a_float_sum(grid):
+    # t_k = t0 + k dt: summing 0.1 ten times gives 0.9999999999999999
+    z = State(np.zeros((2, grid.n, grid.n)), np.zeros((5, grid.n, grid.n)), t=0.0)
+    tc = TimeConfig(dt=0.1, t_end=1.0)
+    traj = run(grid, z, params(), tc)
+    assert np.array_equal(traj.times, np.arange(11) * 0.1)
+    assert traj.times[-1] == 1.0 and traj.states[-1].t == 1.0
+    twin = twin_run(grid, z, Perturbation(0.0), params(), tc)
+    assert np.array_equal(twin.times, traj.times)
+    # a horizon off the dt lattice ends with one shortened step
+    short = run(grid, z, params(), TimeConfig(dt=0.1, t_end=0.25))
+    assert list(short.times) == [0.0, 0.1, 0.2, 0.25]
+    # 3 * 0.1 is 0.30000000000000004: a roundoff overshoot still ends on the horizon
+    tc = TimeConfig(dt=0.1, t_end=0.3)
+    for traj in (run(grid, z, params(), tc), twin_run(grid, z, Perturbation(0.0), params(), tc)):
+        assert list(traj.times) == [0.0, 0.1, 0.2, 0.3]
+        assert traj.states[-1].t == 0.3
 
 
 def test_twin_quadratic_scaling(grid):
@@ -225,3 +263,35 @@ def test_twin_chi_definition(grid):
 
     integ = cumulative_trapezoid(np.maximum(chi, 0.0), diff.times, initial=0.0)
     assert np.all(phi <= phi[0] * np.exp(integ) * (1.0 + 1e-6))
+
+
+def count_planes(monkeypatch) -> dict[str, int]:
+    """Count the r2c and c2r planes passing through Grid.rfft / Grid.irfft."""
+    counts = {"r2c": 0, "c2r": 0}
+
+    def counted(fn, kind):
+        def wrapper(self, f):
+            counts[kind] += int(np.prod(np.shape(f)[:-2]))
+            return fn(self, f)
+        return wrapper
+
+    monkeypatch.setattr(Grid, "rfft", counted(Grid.rfft, "r2c"))
+    monkeypatch.setattr(Grid, "irfft", counted(Grid.irfft, "c2r"))
+    return counts
+
+
+@pytest.mark.parametrize("n_cutoff", [None, 4])
+def test_step_and_probe_plane_budget(monkeypatch, n_cutoff):
+    # one step: 7 r2c + 7 c2r for entry and exit; per stage 27 c2r (26 physical
+    # planes and the tr(Q^2) round trip) and 12 r2c (5 + 6 outputs, tr(Q^2))
+    g = Grid(16)
+    p = params(n_cutoff=n_cutoff)
+    s = smooth_state(g, kmax=4)
+    stepper = Stepper(g, p, TimeConfig(dt=1e-3))
+    part = DyadicPartition(g)
+    counts = count_planes(monkeypatch)
+    stepper.step(s, 1e-3)
+    assert counts["r2c"] <= 31 and counts["c2r"] <= 61
+    counts.update(r2c=0, c2r=0)
+    standard_probes(g, part, s, p, (0.5,))
+    assert counts["r2c"] + counts["c2r"] <= 14
