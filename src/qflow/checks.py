@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .dyadic import DyadicPartition, NormSpec, commutator, product_estimate_sample
 from .qtensor import (
@@ -43,6 +42,16 @@ BASELINES: dict[str, dict[str, float]] = {
     "force_estimate_s0p25": {"ratio": 5.0e-06, "n": 128, "trials": 100},
     "force_estimate_s0p5": {"ratio": 5.0e-06, "n": 128, "trials": 100},
 }
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting at 0.
+
+    The same operations in the same order as
+    scipy.integrate.cumulative_trapezoid(y, x, initial=0), without importing
+    scipy.integrate (and with it scipy.optimize) into every qflow command.
+    """
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def _baseline(key: str, field_name: str, grid: Grid, override: float | None) -> float | None:
@@ -504,7 +513,7 @@ def osgood_check(traj: Trajectory, s: float = 0.5) -> OsgoodDiagnostics:
         cfit = max(cfit, hi)
 
     c = cfit
-    integ = cumulative_trapezoid(f1 + f2, t, initial=0.0)
+    integ = _cumulative_trapezoid(f1 + f2, t)
     envelope = (2 + 4 * c + phi[0]) ** np.exp((c / math.log(2.0)) * integ)
     verdict = (2 + 4 * c + phi) <= envelope * (1 + 1e-9)
     return OsgoodDiagnostics(t, phi, psi, f1, f2, c, envelope, verdict)
@@ -553,7 +562,7 @@ def uniqueness_check(diff: Trajectory, zero_floor: float = 1e-28) -> Report:
             measured={"phi_max": float(phi.max())}, note="identical data",
         )
     chi = gronwall_majorant(diff)
-    integ = cumulative_trapezoid(chi, t, initial=0.0)
+    integ = _cumulative_trapezoid(chi, t)
     pos = integ > 0
     with np.errstate(divide="ignore"):
         lr = np.log(np.maximum(phi, DENOM_FLOOR) / phi[0])

@@ -57,6 +57,7 @@ class Grid:
     k1: np.ndarray = field(init=False, repr=False, compare=False)
     k2: np.ndarray = field(init=False, repr=False, compare=False)
     ksq: np.ndarray = field(init=False, repr=False, compare=False)
+    ksq_safe: np.ndarray = field(init=False, repr=False, compare=False)
     kmag: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     parseval: np.ndarray = field(init=False, repr=False, compare=False)
@@ -80,6 +81,8 @@ class Grid:
         object.__setattr__(self, "k1", kx)
         object.__setattr__(self, "k2", ky)
         object.__setattr__(self, "ksq", kx**2 + ky**2)
+        # |k|^2 with the zero mode set to 1, a safe divisor for the Leray projection
+        object.__setattr__(self, "ksq_safe", np.where(self.ksq == 0.0, 1.0, self.ksq))
         object.__setattr__(self, "kmag", np.sqrt(kx**2 + ky**2))
         object.__setattr__(self, "dealias_mask", mask)
         object.__setattr__(self, "parseval", dup[None, :])
@@ -127,11 +130,10 @@ class Grid:
         """
         if vh.shape[:-2] != (2,):
             raise ValueError(f"expected shape (2, n, n//2+1), got {vh.shape}")
-        ksq = np.where(self.ksq == 0.0, 1.0, self.ksq)
         kdotv = self.k1 * vh[0] + self.k2 * vh[1]
         out = np.empty_like(vh)
-        out[0] = vh[0] - self.k1 * kdotv / ksq
-        out[1] = vh[1] - self.k2 * kdotv / ksq
+        out[0] = vh[0] - self.k1 * kdotv / self.ksq_safe
+        out[1] = vh[1] - self.k2 * kdotv / self.ksq_safe
         out[..., 0, 0] = vh[..., 0, 0]
         return out
 
@@ -205,6 +207,17 @@ class Grid:
         if weight is not None:
             prod = prod * weight
         return float(np.sum(prod) * w)
+
+    def power_hat(self, fh: np.ndarray) -> np.ndarray:
+        """Per-mode share of ||f||^2 from half-spectrum coefficients, shape (n, n//2+1).
+
+        |fh|^2 summed over any leading component axes, with the Parseval
+        weight and the quadrature scale of inner_hat built in, so that
+        sum(power_hat(fh) * weight) equals inner_hat(fh, fh, weight) up to
+        roundoff.  One table serves every weighted norm of the same field.
+        """
+        return (self._mag2(fh.real) + self._mag2(fh.imag)) * (
+            self.parseval * (self.cell_area / self.n**2))
 
     def sobolev_multiplier_norm(self, fh: np.ndarray, s: float, homogeneous: bool = True) -> float:
         """Direct-multiplier Sobolev norm: weight |k|^(2s) or (1+|k|^2)^s."""

@@ -9,9 +9,11 @@ everything else is explicit.  One step of the Heun-type scheme:
     U*   = E (U_n + dt k1)
     U_n1 = E U_n + dt/2 (E k1 + N(U*))
 
-which is exact for vanishing N and second order otherwise.  Both stages
-run on half-spectrum coefficients: a step transforms u and Q once on entry
-and once on exit.
+which is exact for vanishing N and second order otherwise.  The state is
+carried between steps as half-spectrum coefficients: a step takes and
+returns (uh, qh), and run() transforms each new state to physical space
+once, for the diagnostics that need it; twin_run() reads every channel
+from the coefficients.
 """
 
 from __future__ import annotations
@@ -31,15 +33,21 @@ ENERGY_GUARD = 1e6
 class BlowUpError(RuntimeError):
     """Raised when a run leaves the finite/bounded regime.
 
-    Carries the diagnostics of the offending step and, when raised from
-    run(), the partial (times, series) recorded before the abort.
+    Carries the time and diagnostics of the offending step and, when raised
+    from run() or twin_run(), the partial (times, series) recorded before
+    the abort.  Stepper.step does not know the time and raises with t = nan;
+    the loop that owns the clock sets it.
     """
 
     def __init__(self, message: str, t: float, diagnostics: dict[str, float]):
-        super().__init__(f"{message} at t={t:.6g}: {diagnostics}")
+        super().__init__(message)
+        self.message = message
         self.t = t
         self.diagnostics = diagnostics
         self.partial: tuple[np.ndarray, dict[str, np.ndarray]] | None = None
+
+    def __str__(self) -> str:
+        return f"{self.message} at t={self.t:.6g}: {self.diagnostics}"
 
 
 @dataclass(frozen=True)
@@ -109,58 +117,69 @@ class Stepper:
         self._exp_cache = (dt, eu, eq)
         return eu, eq
 
-    def step(self, s: State, dt: float) -> State:
+    def step(self, uh: np.ndarray, qh: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """Advance the half-spectrum coefficients (uh, qh) by dt; no transform of the state.
+
+        A non-finite result raises BlowUpError carrying max |u|, max |Q| of
+        the input state (transformed only on that path) and dt.
+        """
         g, p = self.grid, self.params
         eu, eq = self._multipliers(dt)
 
-        uh, qh = g.rfft(s.u), g.rfft(s.q)
         k1u, k1q = nonlinear(g, uh, qh, p)
         k2u, k2q = nonlinear(g, eu * (uh + dt * k1u), eq * (qh + dt * k1q), p)
 
-        uh = g.leray_hat(eu * (uh + 0.5 * dt * k1u) + 0.5 * dt * k2u)
-        uh[:, 0, 0] = 0.0
-        qh = eq * (qh + 0.5 * dt * k1q) + 0.5 * dt * k2q
-        out = State(g.irfft(uh), g.irfft(qh), s.t + dt)
-        if not (np.all(np.isfinite(out.u)) and np.all(np.isfinite(out.q))):
+        uh_new = g.leray_hat(eu * (uh + 0.5 * dt * k1u) + 0.5 * dt * k2u)
+        uh_new[:, 0, 0] = 0.0
+        qh_new = eq * (qh + 0.5 * dt * k1q) + 0.5 * dt * k2q
+        if not (np.all(np.isfinite(uh_new)) and np.all(np.isfinite(qh_new))):
             raise BlowUpError(
                 "non-finite state",
-                out.t,
-                {"max_u": float(np.abs(s.u).max()), "max_q": float(np.abs(s.q).max()), "dt": dt},
+                np.nan,
+                {"max_u": float(np.abs(g.irfft(uh)).max()),
+                 "max_q": float(np.abs(g.irfft(qh)).max()), "dt": dt},
             )
-        return out
+        return uh_new, qh_new
 
 
 def step(grid: Grid, s: State, p: ModelParams, tc: TimeConfig) -> State:
-    """Advance one step; dt resolved from the config (auto uses the CFL bound)."""
+    """Advance one physical state one step; dt resolved from the config (auto uses the CFL bound)."""
     st = Stepper(grid, p, tc)
     dt = st.auto_dt(s) if tc.dt == "auto" else float(tc.dt)
-    return st.step(s, dt)
+    try:
+        uh, qh = st.step(grid.rfft(s.u), grid.rfft(s.q), dt)
+    except BlowUpError as err:
+        err.t = s.t + dt
+        raise
+    return State(grid.irfft(uh), grid.irfft(qh), s.t + dt)
 
 
 # -- diagnostics -----------------------------------------------------------------
 
 
 def standard_probes(
-    grid: Grid, part: DyadicPartition, s: State, p: ModelParams, hs_list: tuple[float, ...] = ()
+    grid: Grid, part: DyadicPartition, s: State, uh: np.ndarray, qh: np.ndarray,
+    p: ModelParams, hs_list: tuple[float, ...] = ()
 ) -> dict[str, float]:
-    """Scalar diagnostic channels for one state.
+    """Scalar diagnostic channels for one state, given both as physical
+    planes s and as its half-spectrum coefficients (uh, qh).
 
     Always includes the L^2/H^1-level energy bookkeeping and the L^{2p}
     norms of Q for p in {1, 2, 3}; for every s in hs_list adds the
     Besov-flavored homogeneous-Sobolev channels used by the growth checks.
-    The P(Q) pairings are taken in spectral space.
+    Every weighted channel is one sum over the field's power spectrum; the
+    P(Q) pairings are taken in spectral space.
     """
     g = grid
-    uh = g.rfft(s.u)
-    qh = g.rfft(s.q)
     pqh = bulk_force_hat(g, s.q, qh, p)
+    pu, pq = g.power_hat(uh), g.power_hat(qh)
 
     out: dict[str, float] = {}
     out["l2_u2"] = g.inner(s.u, s.u)
     out["l2_q2"] = g.inner(s.q, s.q)
-    out["gradu2"] = g.inner_hat(uh, uh, g.ksq)
-    out["gradq2"] = g.inner_hat(qh, qh, g.ksq)
-    out["lapq2"] = g.inner_hat(qh, qh, g.ksq**2)
+    out["gradu2"] = _weighted(pu, g.ksq)
+    out["gradq2"] = _weighted(pq, g.ksq)
+    out["lapq2"] = _weighted(pq, g.ksq**2)
     out["energy"] = out["l2_u2"] + out["l2_q2"] + p.L * out["gradq2"]
     out["pq_q"] = g.inner_hat(pqh, qh)
     out["pq_lapq"] = -g.inner_hat(pqh, qh, g.ksq)
@@ -169,19 +188,23 @@ def standard_probes(
     out["max_u"] = float(np.sqrt(np.sum(s.u**2, axis=0)).max(initial=0.0))
 
     if hs_list:
-        h2w = (1.0 + g.ksq) ** 2
-        out["h2_q"] = float(np.sqrt(max(g.inner_hat(qh, qh, h2w), 0.0)))
+        out["h2_q"] = float(np.sqrt(max(_weighted(pq, (1.0 + g.ksq) ** 2), 0.0)))
         w1 = part.sobolev_weight(1.0)
-        out["h1dot_u2"] = g.inner_hat(uh, uh, w1)
-        out["h1dot_gradq2"] = g.inner_hat(qh, qh, w1 * g.ksq)
+        out["h1dot_u2"] = _weighted(pu, w1)
+        out["h1dot_gradq2"] = _weighted(pq, w1 * g.ksq)
     for sv in hs_list:
         w = part.sobolev_weight(sv)
         tag = _hs_tag(sv)
-        out[f"hs{tag}_u2"] = g.inner_hat(uh, uh, w)
-        out[f"hs{tag}_gradq2"] = g.inner_hat(qh, qh, w * g.ksq)
-        out[f"hs{tag}_gradu2"] = g.inner_hat(uh, uh, w * g.ksq)
-        out[f"hs{tag}_lapq2"] = g.inner_hat(qh, qh, w * g.ksq**2)
+        out[f"hs{tag}_u2"] = _weighted(pu, w)
+        out[f"hs{tag}_gradq2"] = _weighted(pq, w * g.ksq)
+        out[f"hs{tag}_gradu2"] = _weighted(pu, w * g.ksq)
+        out[f"hs{tag}_lapq2"] = _weighted(pq, w * g.ksq**2)
     return out
+
+
+def _weighted(power: np.ndarray, weight: np.ndarray | None = None) -> float:
+    """Weighted squared norm from a Grid.power_hat table."""
+    return float(np.sum(power if weight is None else power * weight))
 
 
 def _hs_tag(s: float) -> str:
@@ -205,50 +228,52 @@ def run(
     part = DyadicPartition(grid)
     stepper = Stepper(grid, p, tc)
     s = init.copy()
+    uh, qh = grid.rfft(s.u), grid.rfft(s.q)
     times = [s.t]
-    rows = [standard_probes(grid, part, s, p, hs_probes)]
-    states = [s.copy()]
+    rows = [standard_probes(grid, part, s, uh, qh, p, hs_probes)]
+    states = [s]
     e0 = max(rows[0]["energy"], 1e-300)
     k = 0
     t_final = init.t + tc.t_end
     while s.t < t_final - 1e-12:
-        dt, t = _next_step(stepper, s, init.t, k, t_final)
+        dt, t = _next_step(stepper, s, s.t, init.t, k, t_final)
         try:
-            s = stepper.step(s, dt)
+            uh, qh = stepper.step(uh, qh, dt)
         except BlowUpError as err:
-            raise _flush(err, times, rows)
-        s.t = t
+            raise _flush(err, t, times, rows)
+        s = State(grid.irfft(uh), grid.irfft(qh), t)
         k += 1
-        times.append(s.t)
-        row = standard_probes(grid, part, s, p, hs_probes)
+        times.append(t)
+        row = standard_probes(grid, part, s, uh, qh, p, hs_probes)
         rows.append(row)
-        _guard_energy(row["energy"], e0, energy_guard, s.t, times, rows)
+        _guard_energy(row["energy"], e0, energy_guard, t, times, rows)
         if state_stride > 0 and k % state_stride == 0:
-            states.append(s.copy())
-    if not states or states[-1].t != s.t:
-        states.append(s.copy())
+            states.append(s)
+    if states[-1] is not s:
+        states.append(s)
 
     return Trajectory(grid, p, np.array(times), _columns(rows), states)
 
 
-def _next_step(stepper: Stepper, s: State, t0: float, k: int, t_final: float
+def _next_step(stepper: Stepper, s: State, t: float, t0: float, k: int, t_final: float
                ) -> tuple[float, float]:
-    """Size and end time of the step after k steps from t0.
+    """Size and end time of the step from time t, after k steps from t0.
 
-    A fixed dt ends step k+1 at t0 + (k+1) dt rather than at a running float
-    sum.  A step that would pass t_final (beyond a 1e-12 slack) is shortened
-    to end there, and one that ends within the slack ends exactly on t_final.
+    s is the physical state at t; only dt = "auto" reads it.  A fixed dt
+    ends step k+1 at t0 + (k+1) dt rather than at a running float sum.  A
+    step that would pass t_final (beyond a 1e-12 slack) is shortened to end
+    there, and one that ends within the slack ends exactly on t_final.
     """
     if stepper.tc.dt == "auto":
-        dt = min(stepper.auto_dt(s), t_final - s.t)
-        return dt, s.t + dt
+        dt = min(stepper.auto_dt(s), t_final - t)
+        return dt, t + dt
     dt = float(stepper.tc.dt)
-    t = t0 + (k + 1) * dt
-    if t > t_final + 1e-12:
-        return t_final - s.t, t_final
-    if t > t_final - 1e-12:
+    t_next = t0 + (k + 1) * dt
+    if t_next > t_final + 1e-12:
+        return t_final - t, t_final
+    if t_next > t_final - 1e-12:
         return dt, t_final
-    return dt, t
+    return dt, t_next
 
 
 def _guard_energy(energy: float, e0: float, guard: float, t: float,
@@ -256,15 +281,17 @@ def _guard_energy(energy: float, e0: float, guard: float, t: float,
     """Abort, flushing the series so far, once energy exceeds guard times e0."""
     if energy > guard * e0:
         raise _flush(BlowUpError("energy guard tripped", t,
-                                 {"energy": energy, "energy0": e0, **tags}), times, rows)
+                                 {"energy": energy, "energy0": e0, **tags}), t, times, rows)
 
 
 def _columns(rows: list[dict[str, float]]) -> dict[str, np.ndarray]:
     return {key: np.array([r[key] for r in rows]) for key in rows[0]}
 
 
-def _flush(err: BlowUpError, times: list[float], rows: list[dict[str, float]]) -> BlowUpError:
-    """Attach the series recorded before an abort to the error."""
+def _flush(err: BlowUpError, t: float, times: list[float], rows: list[dict[str, float]]
+           ) -> BlowUpError:
+    """Stamp the abort time t and attach the series recorded before it to the error."""
+    err.t = t
     err.diagnostics["steps_completed"] = float(len(times) - 1)
     err.partial = (np.array(times), _columns(rows))
     return err
@@ -309,67 +336,79 @@ def twin_run(
     members' final states.  Either member's energy passing ENERGY_GUARD
     times its initial value aborts the run, as in run(); an aborting step
     flushes the partial series into the raised error.
-    """
-    part = DyadicPartition(grid)
-    stepper = Stepper(grid, p, tc)
-    sa = init.copy()
-    sb = perturb.apply(grid, init)
 
-    times = [sa.t]
-    rows = [_twin_probes(grid, part, sa, sb, p)]
+    The members are carried as half-spectrum coefficients and every channel
+    is read from them, so a probe row transforms nothing.  Member 1 is
+    transformed to physical space only to size dt = "auto" steps, and both
+    members at the end.
+    """
+    g = grid
+    w = DyadicPartition(g).sobolev_weight(-0.5)
+    stepper = Stepper(g, p, tc)
+    auto = tc.dt == "auto"
+    sb = perturb.apply(g, init)
+    a = (g.rfft(init.u), g.rfft(init.q))
+    b = (g.rfft(sb.u), g.rfft(sb.q))
+    member1 = init  # physical member 1, current only when dt = "auto"
+
+    t = init.t
+    times = [t]
+    rows = [_twin_probes(g, w, a, b, p)]
     e0 = [max(_member_energy(rows[0], m, p), 1e-300) for m in (1, 2)]
     t_final = init.t + tc.t_end
     k = 0
-    while sa.t < t_final - 1e-12:
-        dt, t = _next_step(stepper, sa, init.t, k, t_final)
+    while t < t_final - 1e-12:
+        dt, t = _next_step(stepper, member1, t, init.t, k, t_final)
         try:
-            sa = stepper.step(sa, dt)
-            sb = stepper.step(sb, dt)
+            a = stepper.step(*a, dt)
+            b = stepper.step(*b, dt)
         except BlowUpError as err:
-            raise _flush(err, times, rows)
-        sa.t = sb.t = t
+            raise _flush(err, t, times, rows)
+        if auto:
+            member1 = State(g.irfft(a[0]), g.irfft(a[1]), t)
         k += 1
         times.append(t)
-        row = _twin_probes(grid, part, sa, sb, p)
+        row = _twin_probes(g, w, a, b, p)
         rows.append(row)
         for m, e0_m in zip((1, 2), e0):
             _guard_energy(_member_energy(row, m, p), e0_m, ENERGY_GUARD, t, times, rows,
                           member=float(m))
 
     series = _columns(rows)
-    t = np.array(times)
-    series["chi"] = _log_derivative(t, series["phi"])
-    return Trajectory(grid, p, t, series, [sa, sb])
+    series["chi"] = _log_derivative(np.array(times), series["phi"])
+    finals = [State(g.irfft(uh), g.irfft(qh), t) for uh, qh in (a, b)]
+    return Trajectory(g, p, np.array(times), series, finals)
 
 
-def _twin_probes(
-    grid: Grid, part: DyadicPartition, sa: State, sb: State, p: ModelParams
-) -> dict[str, float]:
+def _twin_probes(grid: Grid, w: np.ndarray, a: tuple[np.ndarray, np.ndarray],
+                 b: tuple[np.ndarray, np.ndarray], p: ModelParams) -> dict[str, float]:
+    """Twin channels of the members a = (uh, qh) and b from their coefficients.
+
+    w is the H^{-1/2} weight table; the differences are taken as b - a.
+    Each field's power spectrum is built once and every channel is one
+    weighted sum over it.
+    """
     g = grid
-    w = part.sobolev_weight(-0.5)
-    du = sb.u - sa.u
-    dq = sb.q - sa.q
-    duh = g.rfft(du)
-    dqh = g.rfft(dq)
+    pdu = g.power_hat(b[0] - a[0])
+    pdq = g.power_hat(b[1] - a[1])
 
     out: dict[str, float] = {}
-    out["du_hm2"] = g.inner_hat(duh, duh, w)
-    out["gdq_hm2"] = g.inner_hat(dqh, dqh, w * g.ksq)
+    out["du_hm2"] = _weighted(pdu, w)
+    out["gdq_hm2"] = _weighted(pdq, w * g.ksq)
     out["phi"] = 0.5 * out["du_hm2"] + p.L * out["gdq_hm2"]
-    out["gdu_hm2"] = g.inner_hat(duh, duh, w * g.ksq)
-    out["lapdq_hm2"] = g.inner_hat(dqh, dqh, w * g.ksq**2)
-    out["du_l22"] = g.inner(du, du)
-    out["gdu_l22"] = g.inner_hat(duh, duh, g.ksq)
-    out["dq_l22"] = g.inner(dq, dq)
+    out["gdu_hm2"] = _weighted(pdu, w * g.ksq)
+    out["lapdq_hm2"] = _weighted(pdq, w * g.ksq**2)
+    out["du_l22"] = _weighted(pdu)
+    out["gdu_l22"] = _weighted(pdu, g.ksq)
+    out["dq_l22"] = _weighted(pdq)
 
-    for tag, s in (("1", sa), ("2", sb)):
-        uh = g.rfft(s.u)
-        qh = g.rfft(s.q)
-        out[f"u{tag}_l22"] = g.inner(s.u, s.u)
-        out[f"q{tag}_l22"] = g.inner(s.q, s.q)
-        out[f"gu{tag}_l22"] = g.inner_hat(uh, uh, g.ksq)
-        out[f"gq{tag}_l22"] = g.inner_hat(qh, qh, g.ksq)
-        out[f"lq{tag}_l22"] = g.inner_hat(qh, qh, g.ksq**2)
+    for tag, (uh, qh) in (("1", a), ("2", b)):
+        pu, pq = g.power_hat(uh), g.power_hat(qh)
+        out[f"u{tag}_l22"] = _weighted(pu)
+        out[f"q{tag}_l22"] = _weighted(pq)
+        out[f"gu{tag}_l22"] = _weighted(pu, g.ksq)
+        out[f"gq{tag}_l22"] = _weighted(pq, g.ksq)
+        out[f"lq{tag}_l22"] = _weighted(pq, g.ksq**2)
     return out
 
 

@@ -249,8 +249,9 @@ def test_difference_regularity_single_mode(grid):
     pert = State(base.u + du, base.q.copy())
     from qflow.timestepping import _twin_probes
 
-    row = _twin_probes(grid, part, base, pert, params())
     w = part.sobolev_weight(-0.5)
+    members = [(grid.rfft(st.u), grid.rfft(st.q)) for st in (base, pert)]
+    row = _twin_probes(grid, w, *members, params())
     duh = grid.rfft(du)
     expect = grid.inner_hat(duh, duh, w)
     assert row["du_hm2"] == pytest.approx(expect, rel=1e-12)
@@ -316,3 +317,16 @@ def test_friedrichs_gap_monotone():
     assert rep.passed
     gaps = [rep.measured[f"gap_n{m}"] for m in (2, 4, 8)]
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 1000])
+def test_cumulative_trapezoid_matches_scipy(n):
+    # the numpy helper repeats scipy's operations in scipy's order: equal bit for bit
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(n)
+    t = np.cumsum(rng.uniform(0.01, 1.0, n))  # non-uniform samples
+    y = rng.normal(size=n)
+    got = C._cumulative_trapezoid(y, t)
+    assert np.array_equal(got, cumulative_trapezoid(y, t, initial=0.0))
+    assert got.dtype == np.float64 and got.shape == (n,)

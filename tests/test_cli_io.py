@@ -1,5 +1,9 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +343,16 @@ def test_cli_error_paths(tmp_path):
     bad.write_text(MINIMAL.replace("c = 1.0", "c = -2.0"))
     with pytest.raises(SystemExit, match="c must be positive"):
         main(["simulate", str(bad)])
+
+
+def test_cli_import_graph_skips_scipy_integrate():
+    # every qflow command imports qflow.cli; scipy.integrate would pull in scipy.optimize
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, qflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'integrate'], ['scipy', 'optimize'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -21,9 +21,10 @@ def test_grid_lattice_range():
 
 def test_grid_has_one_half_spectrum_layout():
     g = Grid(32, length=3.7)
-    for name in ("k1", "k2", "ksq", "kmag", "dealias_mask"):
+    for name in ("k1", "k2", "ksq", "ksq_safe", "kmag", "dealias_mask"):
         assert getattr(g, name).shape == (32, 17)
     assert g.parseval.shape == (1, 17)
+    assert g.ksq_safe[0, 0] == 1.0 and np.array_equal(g.ksq_safe.ravel()[1:], g.ksq.ravel()[1:])
     assert g.rfft(np.zeros((3, 32, 32))).shape == (3, 32, 17)
     assert not hasattr(g, "fft") and not hasattr(g, "ifft")
     assert not [name for name in dir(g) if name.endswith("_r")]

@@ -61,11 +61,11 @@ def test_constant_q_relaxation_order(grid):
     q0[1] = 0.05
     errs = []
     for dt in (0.02, 0.01, 0.005):
-        s = State(np.zeros((2, grid.n, grid.n)), q0.copy())
+        uh, qh = grid.rfft(np.zeros((2, grid.n, grid.n))), grid.rfft(q0)
         stepper = Stepper(grid, p, TimeConfig(dt=dt))
         for _ in range(round(1.0 / dt)):
-            s = stepper.step(s, dt)
-        errs.append(np.abs(s.q - q0 * np.exp(-p.gamma * p.a)).max())
+            uh, qh = stepper.step(uh, qh, dt)
+        errs.append(np.abs(grid.irfft(qh) - q0 * np.exp(-p.gamma * p.a)).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders.min() >= 1.9  # global order 2 = local O(dt^3)
 
@@ -74,11 +74,11 @@ def test_taylor_green_integrating_factor_exact(grid):
     x, y = grid.nodes()
     u0 = np.stack([np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)])
     p = params(nu=0.3)
-    s = State(u0.copy(), np.zeros((5, grid.n, grid.n)))
+    uh, qh = grid.rfft(u0), grid.rfft(np.zeros((5, grid.n, grid.n)))
     stepper = Stepper(grid, p, TimeConfig(dt=0.01))
     for _ in range(10):
-        s = stepper.step(s, 0.01)
-    assert np.abs(s.u - u0 * np.exp(-2 * p.nu * 0.1)).max() <= 1e-13
+        uh, qh = stepper.step(uh, qh, 0.01)
+    assert np.abs(grid.irfft(uh) - u0 * np.exp(-2 * p.nu * 0.1)).max() <= 1e-13
 
 
 def test_run_zero_horizon(grid):
@@ -282,16 +282,123 @@ def count_planes(monkeypatch) -> dict[str, int]:
 
 @pytest.mark.parametrize("n_cutoff", [None, 4])
 def test_step_and_probe_plane_budget(monkeypatch, n_cutoff):
-    # one step: 7 r2c + 7 c2r for entry and exit; per stage 27 c2r (26 physical
-    # planes and the tr(Q^2) round trip) and 12 r2c (5 + 6 outputs, tr(Q^2))
+    # per stage 27 c2r (26 physical planes and the tr(Q^2) round trip) and
+    # 12 r2c (5 + 6 outputs, tr(Q^2)); the state stays in coefficients
     g = Grid(16)
     p = params(n_cutoff=n_cutoff)
     s = smooth_state(g, kmax=4)
+    uh, qh = g.rfft(s.u), g.rfft(s.q)
     stepper = Stepper(g, p, TimeConfig(dt=1e-3))
     part = DyadicPartition(g)
     counts = count_planes(monkeypatch)
-    stepper.step(s, 1e-3)
-    assert counts["r2c"] <= 31 and counts["c2r"] <= 61
-    counts.update(r2c=0, c2r=0)
-    standard_probes(g, part, s, p, (0.5,))
-    assert counts["r2c"] + counts["c2r"] <= 14
+
+    def planes(fn, *args):
+        counts.update(r2c=0, c2r=0)
+        fn(*args)
+        return counts["r2c"], counts["c2r"]
+
+    assert planes(stepper.step, uh, qh, 1e-3) == (24, 54)
+    # P(Q) products and tr(Q^2): 6 r2c + 1 c2r; u and Q are not transformed again
+    assert planes(standard_probes, g, part, s, uh, qh, p, (0.5,)) == (6, 1)
+
+    # run, per step: the step, one irfft of the new state (7 c2r) and its probe
+    def per_step(runner):
+        r2c, c2r = zip(*(planes(runner, TimeConfig(dt=1e-3, t_end=m * 1e-3)) for m in (2, 3)))
+        return r2c[1] - r2c[0], c2r[1] - c2r[0]
+
+    assert per_step(lambda tc: run(g, s, p, tc, hs_probes=(0.5,))) == (30, 62)
+    # twin_run, per twin step: two member steps; a probe row transforms nothing
+    twin = Perturbation(1e-3, seed=1)
+    assert per_step(lambda tc: twin_run(g, s, twin, p, tc)) == (48, 108)
+    w = part.sobolev_weight(-0.5)
+    assert planes(timestepping._twin_probes, g, w, (uh, qh), (uh, 2.0 * qh), p) == (0, 0)
+
+
+@pytest.mark.parametrize("n, length", [(16, 3.7), (32, 1.0)])
+def test_coefficient_channels_match_physical_quadrature(n, length):
+    # the state is carried as coefficients; every channel read from them must
+    # match quadrature of the physical fields and inner_hat of fresh transforms
+    g = Grid(n, length=length)
+    part = DyadicPartition(g)
+    p = params()
+    init = smooth_state(g, kmax=n // 4)
+    tc = TimeConfig(dt=2e-3 * length, t_end=8e-3 * length)
+
+    def close(got, want):
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+    traj = run(g, init, p, tc, hs_probes=(0.5,), state_stride=1)
+    assert len(traj.states) == len(traj.times) == 5
+    w = part.sobolev_weight(0.5)
+    for i, st in enumerate(traj.states):
+        assert st.t == traj.times[i]
+        uh, qh = g.rfft(st.u), g.rfft(st.q)
+        row = {key: col[i] for key, col in traj.series.items()}
+        close(row["l2_u2"], g.inner(st.u, st.u))
+        close(row["gradu2"], g.inner_hat(uh, uh, g.ksq))
+        close(row["gradq2"], g.inner_hat(qh, qh, g.ksq))
+        close(row["lapq2"], g.inner_hat(qh, qh, g.ksq**2))
+        close(row["hs0p5_u2"], g.inner_hat(uh, uh, w))
+        close(row["hs0p5_lapq2"], g.inner_hat(qh, qh, w * g.ksq**2))
+        assert g.divergence_residual(uh) <= 1e-12
+
+    twin = twin_run(g, init, Perturbation(1e-2, seed=3), p, tc)
+    sa, sb = twin.states
+    du, dq = sb.u - sa.u, sb.q - sa.q
+    duh, dqh = g.rfft(du), g.rfft(dq)
+    wm = part.sobolev_weight(-0.5)
+    row = {key: col[-1] for key, col in twin.series.items()}
+    close(row["du_l22"], g.inner(du, du))
+    close(row["dq_l22"], g.inner(dq, dq))
+    close(row["du_hm2"], g.inner_hat(duh, duh, wm))
+    close(row["gdq_hm2"], g.inner_hat(dqh, dqh, wm * g.ksq))
+    close(row["lapdq_hm2"], g.inner_hat(dqh, dqh, wm * g.ksq**2))
+    close(row["gdu_l22"], g.inner_hat(duh, duh, g.ksq))
+    for tag, st in (("1", sa), ("2", sb)):
+        qh = g.rfft(st.q)
+        close(row[f"u{tag}_l22"], g.inner(st.u, st.u))
+        close(row[f"q{tag}_l22"], g.inner(st.q, st.q))
+        close(row[f"gq{tag}_l22"], g.inner_hat(qh, qh, g.ksq))
+        close(row[f"lq{tag}_l22"], g.inner_hat(qh, qh, g.ksq**2))
+    # member 1 of the twin is the plain run
+    assert np.array_equal(sa.u, traj.states[-1].u) and np.array_equal(sa.q, traj.states[-1].q)
+
+
+def test_twin_auto_dt_follows_member_one():
+    # dt = "auto" sizes each twin step from member 1's current physical state
+    g = Grid(32)
+    init = smooth_state(g, kmax=6, amp_u=2.0)
+    tc = TimeConfig(dt="auto", t_end=0.3, cfl=0.4)
+    solo = run(g, init, params(), tc)
+    twin = twin_run(g, init, Perturbation(0.0), params(), tc)
+    dts = np.diff(solo.times)[:-1]  # the last step is cut to the horizon
+    assert len(dts) >= 5 and dts.max() > 1.1 * dts.min()  # the flow decays, dt grows
+    assert np.array_equal(twin.times, solo.times)
+
+
+def test_non_finite_step_reports_input_state():
+    # a step far past the stability limit: the abort names the step's end time
+    # and the input state's max |u|, max |Q| and dt
+    g = Grid(16)
+    p = params(a=-5.0, b=0.0, c=1.0, gamma=2.0)
+    init = smooth_state(g, amp_u=0.5, amp_q=2.0, kmax=4)
+    stepper = Stepper(g, p, TimeConfig(dt=2.0))
+    uh, qh = g.rfft(init.u), g.rfft(init.q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(100):
+            try:
+                uh_next, qh_next = stepper.step(uh, qh, 2.0)
+            except BlowUpError as caught:
+                err = caught
+                break
+            uh, qh = uh_next, qh_next
+        else:
+            pytest.fail("the step never left the finite range")
+        assert np.isnan(err.t)
+        assert err.diagnostics == {"max_u": np.abs(g.irfft(uh)).max(),
+                                   "max_q": np.abs(g.irfft(qh)).max(), "dt": 2.0}
+        with pytest.raises(BlowUpError, match="non-finite") as info:
+            run(g, init, p, TimeConfig(dt=2.0, t_end=400.0), energy_guard=np.inf)
+    times, _ = info.value.partial
+    assert len(times) == k + 1 and info.value.t == 2.0 * (k + 1)
+    assert info.value.diagnostics["max_u"] == err.diagnostics["max_u"]
