@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicPartition, NormSpec, commutator, product_estimate_sample
+from .dyadic import NormSpec, commutator, product_estimate_sample, shared_partition
 from .qtensor import (
     ModelParams,
     State,
@@ -177,7 +177,7 @@ def transport_cancellation_check(grid: Grid, trials: int = 100, seed: int = 0,
 
 def partition_unity_check(grid: Grid, tolerance: float = 1e-12) -> Report:
     """max over nonzero lattice modes of |sum_q phi_q(k) - 1|."""
-    part = DyadicPartition(grid)
+    part = shared_partition(grid)
     total = sum(part.phi[q] for q in part.qs)
     nz = grid.kmag > 0
     dev = float(np.abs(total[nz] - 1.0).max())
@@ -192,7 +192,7 @@ def partition_unity_check(grid: Grid, tolerance: float = 1e-12) -> Report:
 def bony_check(grid: Grid, trials: int = 100, seed: int = 0,
                tolerance: float = 1e-10) -> Report:
     """Paraproduct reconstruction f*g = T_f g + T_g f + R + mean terms."""
-    part = DyadicPartition(grid)
+    part = shared_partition(grid)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -214,7 +214,7 @@ def sym_decomp_check(grid: Grid, trials: int = 100, seed: int = 0,
     """Per-block reconstruction block_q(AB) = J1 + J2 + J3 + J4 on matrix pairs."""
     from .dyadic import SymDecompContext
 
-    part = DyadicPartition(grid)
+    part = shared_partition(grid)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -237,7 +237,7 @@ def sym_decomp_check(grid: Grid, trials: int = 100, seed: int = 0,
 def commutator_estimate_check(grid: Grid, trials: int = 100, seed: int = 0,
                               baseline: float | None = None) -> Report:
     """Fitted C in ||[block_q, S_{q'-1}A] block_q' f|| <= C 2^-q ||S grad A||_inf ||block_q' f||."""
-    part = DyadicPartition(grid)
+    part = shared_partition(grid)
     rng = np.random.default_rng(seed)
     cfit = 0.0
     for _ in range(trials):
@@ -265,7 +265,7 @@ def neg_index_check(grid: Grid, s: float = -0.5, trials: int = 100, seed: int = 
     """Ratio band for the lowpass characterization of negative-index norms."""
     from .dyadic import neg_index_equiv
 
-    part = DyadicPartition(grid)
+    part = shared_partition(grid)
     rng = np.random.default_rng(seed)
     spec = NormSpec(s)
     ratios = []
@@ -294,7 +294,7 @@ def product_law_check(grid: Grid, s: float, t: float, trials: int = 100,
                       seeds: tuple[int, ...] = (0, 1, 2),
                       drift_tol: float = 0.05) -> Report:
     """Boundedness and seed-stability of the product-estimate ratio sampler."""
-    part = DyadicPartition(grid)
+    part = shared_partition(grid)
     maxima = [product_estimate_sample(part, s, t, trials, seed=sd)["max"] for sd in seeds]
     spread = (max(maxima) - min(maxima)) / (sum(maxima) / len(maxima))
     ok = all(math.isfinite(m) for m in maxima) and spread <= drift_tol
@@ -309,7 +309,7 @@ def linf_interp_check(grid: Grid, s: float = 0.5, n_range: range = range(1, 11),
                       trials: int = 100, seed: int = 0,
                       baseline: float | None = None) -> Report:
     """One fitted C in ||f||_inf <= C(||f||_2 + sqrt(N)||f||_H1 + 2^-Ns ||f||_{H^{1+s}})."""
-    part = DyadicPartition(grid)
+    part = shared_partition(grid)
     rng = np.random.default_rng(seed)
     cfit = 0.0
     for _ in range(trials):
@@ -337,7 +337,7 @@ def force_estimate_check(grid: Grid, p: ModelParams, s: float = 0.5,
                          trials: int = 100, seed: int = 0,
                          baseline: float | None = None) -> Report:
     """Bound <P(Q), lap Q>_{H^s} <= C (1 + ||Q||_H2 + ||Q||_H2^2) ||grad Q||_{H^s}^2."""
-    part = DyadicPartition(grid)
+    part = shared_partition(grid)
     rng = np.random.default_rng(seed)
     worst = 0.0
     vacuous = True

@@ -16,6 +16,7 @@ multiplier tables share the grid's half-spectrum shape (n, n//2+1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -191,8 +192,23 @@ class DyadicPartition:
         return ctx.terms(q)
 
 
+def shared_partition(grid: Grid) -> DyadicPartition:
+    """One DyadicPartition per (n, length, FFT workers), shared with its weight tables."""
+    return _partition(grid, grid.workers)
+
+
+@functools.lru_cache(maxsize=4)
+def _partition(grid: Grid, workers: int) -> DyadicPartition:
+    return DyadicPartition(grid)
+
+
 class SymDecompContext:
-    """Cached blocks/prefix sums of one matrix-field pair, reused across q."""
+    """What terms(q) and block_product(q) read for one matrix-field pair.
+
+    The spectra of B and AB, the blocks of B, the prefix sums of A, and the
+    J1/J4 sums over each distinct window of q' (in ascending q').  terms(q)
+    keeps block_q block_{q+1} B for terms(q+1), so each pair is transformed once.
+    """
 
     def __init__(self, part: DyadicPartition, a: np.ndarray, b: np.ndarray):
         if a.ndim != 4 or b.ndim != 4:
@@ -200,34 +216,47 @@ class SymDecompContext:
         g = part.grid
         self.part = part
         self.grid = g
-        self.a = g.zero_mean(a)
-        self.b = g.zero_mean(b)
-        self.ah = g.rfft(self.a)
-        self.bh = g.rfft(self.b)
-        self.ab_hat = g.rfft(_mul(self.a, self.b))
-        self.block_a = {q: g.irfft(part.phi[q] * self.ah) for q in part.qs}
+        a = g.zero_mean(a)
+        b = g.zero_mean(b)
+        ah = g.rfft(a)
+        self.bh = g.rfft(b)
+        self.ab_hat = g.rfft(_mul(a, b))
+        block_a = {q: g.irfft(part.phi[q] * ah) for q in part.qs}
         self.block_b = {q: g.irfft(part.phi[q] * self.bh) for q in part.qs}
-        self.sa = part._prefix_sums(self.block_a)
-        self.sb = part._prefix_sums(self.block_b)
+        self.sa = part._prefix_sums(block_a)
+        sb = part._prefix_sums(self.block_b)
         # transforms of S_{q'-1}A block_{q'}B and block_{q'}A S_{q'+2}B, per q'
-        self.p_hat = {q: g.rfft(_mul(self.sa[q - 2], self.block_b[q])) for q in part.qs}
-        self.r_hat = {q: g.rfft(_mul(self.block_a[q], self.sb[q + 1])) for q in part.qs}
+        p_hat = {q: g.rfft(_mul(self.sa[q - 2], self.block_b[q])) for q in part.qs}
+        r_hat = {q: g.rfft(_mul(block_a[q], sb[q + 1])) for q in part.qs}
+        # J1 sums q' over [q-5, q+5], J4 over q' >= q-5, clipped to the band
+        self.psum: dict[tuple[int, int], np.ndarray] = {}
+        self.rsum: dict[int, np.ndarray] = {}
+        for q in part.qs:
+            lo, hi = max(q - 5, part.q_min), min(q + 5, part.q_max)
+            if (lo, hi) not in self.psum:
+                self.psum[lo, hi] = sum(p_hat[qp] for qp in range(lo, hi + 1))
+            if lo not in self.rsum:
+                self.rsum[lo] = sum(r_hat[qp] for qp in range(lo, part.q_max + 1))
+        self._pair: dict[tuple[int, int], np.ndarray] = {}
 
     def terms(self, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         part, g = self.part, self.grid
-        window = [qp for qp in part.qs if abs(q - qp) <= 5]
-
-        psum = sum(self.p_hat[qp] for qp in window)
-        j1 = g.irfft(part.phi[q] * psum)
+        lo, hi = max(q - 5, part.q_min), min(q + 5, part.q_max)
+        j1 = g.irfft(part.phi[q] * self.psum[lo, hi])
         j2 = np.zeros_like(j1)
-        for qp in window:
-            if abs(q - qp) <= 1:  # block_q block_q' vanishes otherwise
+        held, self._pair = self._pair, {}
+        # block_q block_q' vanishes for |q - q'| > 1
+        for qp in range(max(q - 1, part.q_min), min(q + 1, part.q_max) + 1):
+            dd = held.get((qp, q))
+            if dd is None:
                 dd = g.irfft(part.phi[q] * part.phi[qp] * self.bh)
-                j1 -= _mul(self.sa[qp - 2], dd)
+            if qp > q:
+                self._pair[q, qp] = dd
+            j1 -= _mul(self.sa[qp - 2], dd)
+            if qp != q:  # the J2 factor S_{q'-1}A - S_{q-1}A is zero at q' = q
                 j2 += _mul(self.sa[qp - 2] - self.sa[q - 2], dd)
         j3 = _mul(self.sa[q - 2], self.block_b[q])
-        rsum = sum(self.r_hat[qp] for qp in part.qs if qp >= q - 5)
-        j4 = g.irfft(part.phi[q] * rsum)
+        j4 = g.irfft(part.phi[q] * self.rsum[lo])
         return j1, j2, j3, j4
 
     def block_product(self, q: int) -> np.ndarray:

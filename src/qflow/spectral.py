@@ -12,6 +12,7 @@ table has the half-spectrum shape (n, n//2+1).
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -239,6 +240,22 @@ class Grid:
 # -- seeded band-limited field generators -------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _band_tables(
+    n: int, length: float, kmin: float, kmax: float, decay: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only band mask (n, n) and amplitudes (|k|/scale)^-decay on the band."""
+    scale = 2.0 * np.pi / length
+    k = _lattice_index(n) * scale
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    kmag = np.sqrt(kx**2 + ky**2)
+    band = (kmag >= kmin * scale) & (kmag <= kmax * scale)
+    amp = (kmag[band] / scale) ** (-decay)
+    band.flags.writeable = False
+    amp.flags.writeable = False
+    return band, amp
+
+
 def random_scalar(
     grid: Grid,
     rng: np.random.Generator,
@@ -250,23 +267,20 @@ def random_scalar(
 
     Spectral support is the annulus kmin <= |k| <= kmax in lattice units;
     kmax defaults to n/4 so that triple products stay alias-free under the
-    two-thirds rule.  The phases are drawn on the full n x n lattice and the
-    field is synthesized by a full complex inverse transform whose real
-    part Hermitian-symmetrizes it; this keeps every seeded field (and the
-    constants fitted on them) bitwise stable.
+    two-thirds rule.  The phases are drawn on the full n x n lattice (so the
+    rng stream does not depend on the band), amplitude times phase is
+    evaluated on the band modes only, and the field is synthesized by a
+    full complex inverse transform whose real part Hermitian-symmetrizes
+    it; this keeps every seeded field (and the constants fitted on them)
+    bitwise stable.
     """
     n = grid.n
     if kmax is None:
         kmax = n / 4.0
-    scale = 2.0 * np.pi / grid.length
-    k = _lattice_index(n) * scale
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    kmag = np.sqrt(kx**2 + ky**2)
-    band = (kmag >= kmin * scale) & (kmag <= kmax * scale)
-    amp = np.zeros((n, n))
-    amp[band] = (kmag[band] / scale) ** (-decay)
+    band, amp = _band_tables(n, grid.length, kmin, kmax, decay)
     phases = rng.uniform(0.0, 2.0 * np.pi, (n, n))
-    fh = amp * np.exp(1j * phases) * n**2
+    fh = np.zeros((n, n), dtype=complex)
+    fh[band] = amp * np.exp(1j * phases[band]) * n**2
     f = scipy.fft.ifft2(fh, axes=(-2, -1), workers=grid.workers).real
     f = grid.zero_mean(f)
     peak = np.abs(f).max()

@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qflow import dyadic
 from qflow.cli import main
 from qflow.config import ConfigError, build_initial_state, parse_config, taylor_green, uniaxial_wave
+from qflow.dyadic import DyadicPartition
 from qflow.qtensor import ModelParams, State
 from qflow.snapshots import SnapshotError, emit_series, read_series, read_snapshot, write_snapshot
 from qflow.spectral import Grid, random_velocity
@@ -325,6 +327,21 @@ def test_cli_reports_csv_columns(tmp_path):
     assert float(by_check["partition_unity"]["measured_max_dev"]) <= 1e-12
     assert by_check["product_law_s0.5_t0.5"]["inputs"].startswith("trials=2 seeds=(0, 1, 2)")
     assert path.read_bytes().count(b"\r") == 0
+
+
+def test_cli_check_all_builds_one_partition(monkeypatch):
+    # the eight checks that use dyadic blocks share one partition per grid
+    built = []
+    post_init = DyadicPartition.__post_init__
+
+    def counted(self):
+        built.append(self.grid.n)
+        post_init(self)
+
+    monkeypatch.setattr(DyadicPartition, "__post_init__", counted)
+    dyadic._partition.cache_clear()
+    main(["check", "all", "--n", "16", "--trials", "2"])
+    assert built == [16]
 
 
 def test_cli_check_subset(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflow.dyadic import (
     DyadicPartition,
@@ -38,6 +40,16 @@ def test_partition_of_unity(part, grid):
     total = sum(part.phi[q] for q in part.qs)
     nz = grid.kmag > 0
     assert np.abs(total[nz] - 1.0).max() <= 1e-12
+    assert total[0, 0] == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([8, 16, 32]), st.floats(0.5, 20.0))
+def test_partition_of_unity_any_period(n, length):
+    g = Grid(n, length)
+    part = DyadicPartition(g)
+    total = sum(part.phi[q] for q in part.qs)
+    assert np.abs(total[g.kmag > 0] - 1.0).max() <= 1e-12
     assert total[0, 0] == 0.0
 
 
@@ -227,7 +239,7 @@ def test_sym_decomp_weighted_pairing(part, grid):
     c = np.moveaxis(q_to_mat(random_qtensor(grid, rng)), (0, 1), (2, 3))
     s = -0.5
     ctx = SymDecompContext(part, a, b)
-    ab = np.einsum("ik...,kj...->ij...", ctx.a, ctx.b)
+    ab = np.einsum("ik...,kj...->ij...", grid.zero_mean(a), grid.zero_mean(b))
 
     direct = 0.0
     for i in range(3):
@@ -239,6 +251,105 @@ def test_sym_decomp_weighted_pairing(part, grid):
         cq = grid.irfft(part.phi[q] * grid.rfft(c))
         via_blocks += 4.0 ** (q * s) * grid.inner(terms, cq)
     assert abs(via_blocks - direct) <= 1e-8 * (abs(direct) + 1e-30)
+
+
+def matmul(x, y):
+    return np.einsum("ik...,kj...->ij...", x, y)
+
+
+class ReferenceSymDecomp:
+    """The termwise construction of J1..J4: every window sum formed per q."""
+
+    def __init__(self, part, a, b):
+        g = part.grid
+        self.part, self.grid = part, g
+        a, b = g.zero_mean(a), g.zero_mean(b)
+        ah, self.bh = g.rfft(a), g.rfft(b)
+        self.ab_hat = g.rfft(matmul(a, b))
+        block_a = {q: g.irfft(part.phi[q] * ah) for q in part.qs}
+        self.block_b = {q: g.irfft(part.phi[q] * self.bh) for q in part.qs}
+        self.sa = part._prefix_sums(block_a)
+        sb = part._prefix_sums(self.block_b)
+        self.p_hat = {q: g.rfft(matmul(self.sa[q - 2], self.block_b[q])) for q in part.qs}
+        self.r_hat = {q: g.rfft(matmul(block_a[q], sb[q + 1])) for q in part.qs}
+
+    def terms(self, q):
+        part, g = self.part, self.grid
+        window = [qp for qp in part.qs if abs(q - qp) <= 5]
+        j1 = g.irfft(part.phi[q] * sum(self.p_hat[qp] for qp in window))
+        j2 = np.zeros_like(j1)
+        for qp in window:
+            if abs(q - qp) <= 1:
+                dd = g.irfft(part.phi[q] * part.phi[qp] * self.bh)
+                j1 -= matmul(self.sa[qp - 2], dd)
+                j2 += matmul(self.sa[qp - 2] - self.sa[q - 2], dd)
+        j3 = matmul(self.sa[q - 2], self.block_b[q])
+        j4 = g.irfft(part.phi[q] * sum(self.r_hat[qp] for qp in part.qs if qp >= q - 5))
+        return j1, j2, j3, j4
+
+    def block_product(self, q):
+        return self.grid.irfft(self.part.phi[q] * self.ab_hat)
+
+
+def s0_pair(grid, seed):
+    rng = np.random.default_rng(seed)
+    return [np.moveaxis(q_to_mat(random_qtensor(grid, rng)), (0, 1), (2, 3)) for _ in range(2)]
+
+
+def general_pair(grid, seed):
+    # non-symmetric, not traceless, with a nonzero mean in every entry
+    rng = np.random.default_rng(seed)
+    return [np.stack([np.stack([random_scalar(grid, rng) + rng.normal() for _ in range(3)])
+                      for _ in range(3)]) for _ in range(2)]
+
+
+@pytest.mark.parametrize("n, length, make, seed", [
+    (32, 2 * np.pi, s0_pair, 0), (32, 2 * np.pi, s0_pair, 1), (16, 3.7, general_pair, 2),
+])
+def test_sym_decomp_matches_reference_terms(n, length, make, seed):
+    # the cached context computes J1..J4 and block_q(AB) bit for bit as
+    # the termwise formulas do
+    g = Grid(n, length)
+    part = DyadicPartition(g)
+    a, b = make(g, seed)
+    ctx, ref = SymDecompContext(part, a, b), ReferenceSymDecomp(part, a, b)
+    # the blocks of A, the prefix sums of B and the per-q' products live
+    # only while the context is built
+    for name in ("a", "b", "ah", "block_a", "sb", "p_hat", "r_hat"):
+        assert not hasattr(ctx, name)
+    for q in part.qs:
+        assert np.array_equal(ctx.block_product(q), ref.block_product(q))
+        for got, expect in zip(ctx.terms(q), ref.terms(q)):
+            assert np.array_equal(got, expect)
+    # out-of-order calls recompute what the ascending pass carries
+    for q in reversed(part.qs):
+        for got, expect in zip(ctx.terms(q), ref.terms(q)):
+            assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("n, r2c, c2r", [(16, 99, 243), (32, 117, 306)])
+def test_sym_decomp_plane_budget(monkeypatch, n, r2c, c2r):
+    # r2c: A, B, AB and the J1/J4 products per block; c2r: the blocks of A
+    # and B, then per q J1, J4 and block_q(AB), plus block_q block_q' B once
+    # per unordered pair |q - q'| <= 1
+    g = Grid(n)
+    part = DyadicPartition(g)
+    a, b = s0_pair(g, 3)
+    counts = {"r2c": 0, "c2r": 0}
+
+    def counted(fn, kind):
+        def wrapper(self, f):
+            counts[kind] += int(np.prod(np.shape(f)[:-2]))
+            return fn(self, f)
+        return wrapper
+
+    monkeypatch.setattr(Grid, "rfft", counted(Grid.rfft, "r2c"))
+    monkeypatch.setattr(Grid, "irfft", counted(Grid.irfft, "c2r"))
+    ctx = SymDecompContext(part, a, b)
+    for q in part.qs:
+        ctx.terms(q)
+        ctx.block_product(q)
+    assert (counts["r2c"], counts["c2r"]) == (r2c, c2r)
 
 
 def test_commutator_constant_a_vanishes(part, grid):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qflow import spectral
 from qflow.spectral import Grid, random_scalar, random_velocity
 
 
@@ -195,14 +198,77 @@ def full_lattice_random_scalar(n, length, rng, kmin=1.0, kmax=None, decay=1.5):
     return f / peak if peak > 0 else f
 
 
+def pinned_keywords(n):
+    """Keyword sets of random_scalar pinned to the full-lattice synthesis."""
+    return [
+        {"kmax": n / 3.0, "decay": 2.0},
+        {},  # the default envelope
+        {"kmax": 6.0, "decay": 2.0},  # the random_spectrum preset
+        {"decay": 0.0},  # the product-law sampler
+        {"kmin": 2.0},
+    ]
+
+
 @pytest.mark.parametrize("n", [16, 64, 128])
 @pytest.mark.parametrize("length", [2 * np.pi, 1.0, 3.7])
 def test_random_scalar_bitwise_pinned(n, length):
     # seeded fields (and the constants fitted on them) must not move
     g = Grid(n, length)
-    got = random_scalar(g, np.random.default_rng(11), kmax=n / 3.0, decay=2.0)
-    expect = full_lattice_random_scalar(n, length, np.random.default_rng(11),
-                                        kmax=n / 3.0, decay=2.0)
-    assert np.array_equal(got, expect)
-    got = random_scalar(g, np.random.default_rng(12))
-    assert np.array_equal(got, full_lattice_random_scalar(n, length, np.random.default_rng(12)))
+    for seed, kw in enumerate(pinned_keywords(n), start=11):
+        got = random_scalar(g, np.random.default_rng(seed), **kw)
+        expect = full_lattice_random_scalar(n, length, np.random.default_rng(seed), **kw)
+        assert np.array_equal(got, expect)
+    # one rng stream through calls with other keywords in between: the
+    # band tables of one call never leak into the next
+    first, other = pinned_keywords(n)[2], pinned_keywords(n)[4]
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for kw in (first, other, first):
+        assert np.array_equal(random_scalar(g, rng, **kw),
+                              full_lattice_random_scalar(n, length, ref, **kw))
+
+
+def test_random_scalar_band_tables_read_only():
+    band, amp = spectral._band_tables(16, 2 * np.pi, 1.0, 4.0, 1.5)
+    assert band.shape == (16, 16) and amp.shape == (int(band.sum()),)
+    with pytest.raises(ValueError):
+        band[0, 0] = True
+    with pytest.raises(ValueError):
+        amp[0] = 0.0
+    assert spectral._band_tables(16, 2 * np.pi, 1.0, 4.0, 1.5)[1] is amp
+
+
+# -- operator identities on any period ------------------------------------------
+
+SIZES = st.sampled_from([8, 16, 32])
+PERIODS = st.floats(0.5, 20.0)
+SEEDS = st.integers(0, 2**31 - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(SIZES, PERIODS, SEEDS)
+def test_leray_identities_any_period(n, length, seed):
+    g = Grid(n, length)
+    vh = g.rfft(np.random.default_rng(seed).standard_normal((2, n, n)))
+    ph = g.leray_hat(vh)
+    assert g.divergence_residual(ph) <= 1e-12
+    assert np.abs(g.leray_hat(ph) - ph).max() <= 1e-12 * np.abs(ph).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(SIZES, PERIODS, SEEDS)
+def test_inner_hat_matches_quadrature_any_period(n, length, seed):
+    g = Grid(n, length)
+    rng = np.random.default_rng(seed)
+    f, h = rng.standard_normal((2, 2, n, n))
+    scale = g.norm_l2(f) * g.norm_l2(h)
+    assert abs(g.inner_hat(g.rfft(f), g.rfft(h)) - g.inner(f, h)) <= 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(SIZES, PERIODS, SEEDS)
+def test_laplacian_is_sum_of_second_derivatives_any_period(n, length, seed):
+    g = Grid(n, length)
+    fh = g.rfft(np.random.default_rng(seed).standard_normal((n, n)))
+    lap = g.laplacian_hat(fh)
+    parts = g.deriv_hat(fh, 1, 2) + g.deriv_hat(fh, 2, 2)
+    assert np.abs(lap - parts).max() <= 1e-12 * np.abs(lap).max()
