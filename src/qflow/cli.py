@@ -12,11 +12,11 @@ from pathlib import Path
 
 from . import checks
 from .config import ConfigError, RunConfig, build_initial_state, parse_config
-from .dyadic import DyadicPartition, NormSpec
+from .dyadic import NormSpec, shared_partition
 from .qtensor import ModelParams, State
 from .snapshots import emit_series, read_series, read_snapshot, write_csv, write_snapshot
 from .spectral import Grid
-from .timestepping import BlowUpError, Perturbation, Trajectory, run, twin_run
+from .timestepping import BandError, BlowUpError, Perturbation, Trajectory, run, twin_run
 
 #: Parameter set used by the stateless `check` ensembles that need one.
 CHECK_PARAMS = ModelParams(a=-0.3, b=1.0, c=1.0, gamma=1.0, nu=1.0, L=1.0)
@@ -57,6 +57,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         traj = run(grid, init, cfg.params, cfg.time,
                    hs_probes=cfg.hs_probes, state_stride=cfg.snapshot_stride)
+    except BandError as err:
+        raise SystemExit(f"error: {err}")
     except BlowUpError as err:
         return _abort(err, out / "series.csv")
     emit_series(out / "series.csv", traj.times, traj.series)
@@ -74,6 +76,8 @@ def cmd_twin(args: argparse.Namespace) -> int:
     path = out / f"twin_eps{args.eps:g}_seed{args.seed}.csv"
     try:
         diff = twin_run(grid, init, Perturbation(args.eps, seed=args.seed), cfg.params, cfg.time)
+    except BandError as err:
+        raise SystemExit(f"error: {err}")
     except BlowUpError as err:
         return _abort(err, path)
     emit_series(path, diff.times, diff.series)
@@ -132,6 +136,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise SystemExit(f"error: {err}")
     trials, seed = args.trials, args.seed
+    if trials < 1:
+        raise SystemExit(f"error: --trials must be >= 1, got {trials}")
     registry = {
         "partition": lambda: checks.partition_unity_check(grid),
         "bony": lambda: checks.bony_check(grid, trials, seed),
@@ -168,7 +174,7 @@ def cmd_norms(args: argparse.Namespace) -> int:
         spec = NormSpec(float(s_str), float(p_str), float("inf") if r_str == "inf" else float(r_str))
     except ValueError:
         raise SystemExit(f"error: --spec must be 's,p,r', got {args.spec!r}")
-    part = DyadicPartition(grid)
+    part = shared_partition(grid)
     print(f"t={state.t:.17g}")
     print(f"besov_u={part.besov_norm(state.u, spec):.17g}")
     print(f"besov_q={part.besov_norm(state.q, spec):.17g}")

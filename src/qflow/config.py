@@ -131,6 +131,10 @@ def parse_config(text: str) -> RunConfig:
         lineno = entries[("init", "preset")][1]
         raise ConfigError(f"line {lineno}: unknown preset {preset!r}; choose from {PRESETS}")
     snapshot = _get(entries, "init", "snapshot", str)
+    kmin = _get(entries, "init", "kmin", float, 1.0)
+    kmax = _get(entries, "init", "kmax", float)
+    if preset == "random_spectrum" and snapshot is None:
+        _check_band(entries, n, kmin, n / 4.0 if kmax is None else kmax)
 
     stride = _get(entries, "output", "snapshot_stride", int, 100)
     if stride < 1:
@@ -155,13 +159,27 @@ def parse_config(text: str) -> RunConfig:
         seed=_get(entries, "init", "seed", int, 0),
         amplitude_u=_get(entries, "init", "amplitude_u", float, 0.5),
         amplitude_q=_get(entries, "init", "amplitude_q", float, 0.5),
-        kmin=_get(entries, "init", "kmin", float, 1.0),
-        kmax=_get(entries, "init", "kmax", float),
+        kmin=kmin,
+        kmax=kmax,
         decay=_get(entries, "init", "decay", float, 2.0),
         out_dir=_get(entries, "output", "dir", str, "."),
         snapshot_stride=stride,
         hs_probes=tuple(hs),
     )
+
+
+def _check_band(entries, n: int, kmin: float, kmax: float) -> None:
+    """The random_spectrum band kmin <= |k| <= kmax must be non-empty and
+    inside the dealias band, kmax <= n/3, so that the first products do not
+    alias.  Only a configured value can fail: the default n/4 passes."""
+    if not 1.0 <= kmax <= n / 3.0:
+        lineno = entries[("init", "kmax")][1]
+        raise ConfigError(f"line {lineno}: [init] kmax = {kmax:g} must lie in [1, n/3] = "
+                          f"[1, {n / 3.0:.4g}] (defaults to n/4)")
+    if not kmin <= kmax:
+        lineno = entries[("init", "kmin")][1]
+        raise ConfigError(f"line {lineno}: [init] kmin = {kmin:g} exceeds kmax = {kmax:g}, "
+                          "so the band is empty")
 
 
 # -- initial-condition presets ------------------------------------------------------

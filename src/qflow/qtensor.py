@@ -16,7 +16,8 @@ Pointwise products are evaluated in closed form on the coefficient planes
 (no dense 3x3 matrices on the stepping path).  Dealiasing uses the
 two-thirds rule, applied once to each summed output; the cubic bulk term
 tr(Q^2) Q is formed as two successive dealiased binary products (first
-tr(Q^2), then the multiplication by Q).
+tr(Q^2), then the multiplication by Q).  The stepping path keeps every field
+in the dealias band, so its transforms are the band-pruned ones of Grid.
 """
 
 from __future__ import annotations
@@ -140,7 +141,10 @@ def corotate(w: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def commutator12(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """(Q R - R Q)_12, the one independent entry of the antisymmetric planar block."""
+    """(Q R - R Q)_12, the one independent entry of the antisymmetric planar block.
+
+    r[1], the E2 plane of R, drops out and is never read.
+    """
     return q[0] * r[2] - q[2] * r[0] + 0.5 * (q[3] * r[4] - q[4] * r[3])
 
 
@@ -211,7 +215,7 @@ def bulk_force(q: np.ndarray, p: ModelParams, grid: Grid | None = None) -> np.nd
 
 def bulk_force_hat(grid: Grid, q: np.ndarray, qh: np.ndarray, p: ModelParams) -> np.ndarray:
     """Dealiased bulk force P(Q) as half-spectrum coefficients; qh is rfft(Q)."""
-    return grid.dealias_mask * grid.rfft(_bulk_products(grid, q, p)) - p.a * qh
+    return grid.rfft(_bulk_products(grid, q, p), band=True) - p.a * qh
 
 
 def corotation(grid: Grid, q: np.ndarray, u: np.ndarray, dealias: bool = True) -> np.ndarray:
@@ -234,7 +238,8 @@ def _stress_planes(out: np.ndarray, q: np.ndarray, lap: np.ndarray, d1q: np.ndar
     """Write the four stress planes (Q lapQ - lapQ Q)_12, G_11, G_12, G_22 into out.
 
     G = grad Q o grad Q; the inputs are the physical planes Q, lap Q, d1 Q
-    and d2 Q, and out has shape (4, n, n).
+    and d2 Q (lap[1] is not read, see commutator12), and out has shape
+    (4, n, n).
     """
     out[0] = commutator12(q, lap)
     out[1:] = gradient_gram(d1q, d2q)
@@ -282,7 +287,7 @@ def elastic_stress_div(grid: Grid, q: np.ndarray, p: ModelParams) -> np.ndarray:
 
 
 def _gradient_planes(grid: Grid, fh: np.ndarray, ik: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Physical (d1 f, d2 f) from the coefficients fh, in one batched transform.
+    """Physical (d1 f, d2 f) from the in-band coefficients fh, in one batched transform.
 
     The spectral products are written straight into the transform's input
     buffer, so no stacked copy is made.
@@ -290,21 +295,28 @@ def _gradient_planes(grid: Grid, fh: np.ndarray, ik: tuple[np.ndarray, np.ndarra
     buf = np.empty((2,) + fh.shape, dtype=complex)
     np.multiply(ik[0], fh, out=buf[0])
     np.multiply(ik[1], fh, out=buf[1])
-    return grid.irfft(buf)
+    return grid.irfft(buf, band=True)
 
 
-def _momentum_hat(grid: Grid, u: np.ndarray, du: np.ndarray, q: np.ndarray, qh: np.ndarray,
+#: The lap Q planes that (Q lapQ - lapQ Q)_12 reads: E1, E3, E4, E5, not E2.
+_COMMUTATOR_PLANES = [0, 2, 3, 4]
+
+
+def _momentum_hat(grid: Grid, u: np.ndarray, omega: np.ndarray, q: np.ndarray, qh: np.ndarray,
                   dq: np.ndarray, p: ModelParams) -> np.ndarray:
-    """P[-u.grad(u) + L div S] from the physical planes; du[i-1] = d_i u, dq[i-1] = d_i Q.
+    """P[omega u_perp + L div S] from the physical planes; omega = d1 u2 - d2 u1, dq[i-1] = d_i Q.
 
-    The six momentum planes (advection, the stress commutator entry and
+    omega u_perp = (omega u2, -omega u1) differs from -u.grad(u) by the
+    gradient of |u|^2/2, which the Leray projection removes.  The six
+    momentum planes (advection, the stress commutator entry and
     grad Q o grad Q) are dealiased once, after their products.
     """
     mom = np.empty((6,) + u.shape[1:])
-    mom[:2] = -(u[0] * du[0] + u[1] * du[1])
-    _stress_planes(mom[2:], q, grid.irfft(grid.laplacian_hat(qh)), dq[0], dq[1])
-    mh = grid.rfft(mom)
-    mh *= grid.dealias_mask
+    mom[0] = omega * u[1]
+    mom[1] = -omega * u[0]
+    lap = grid.irfft(grid.laplacian_hat(qh[_COMMUTATOR_PLANES]), band=True)
+    _stress_planes(mom[2:], q, (lap[0], None, lap[1], lap[2], lap[3]), dq[0], dq[1])
+    mh = grid.rfft(mom, band=True)
     return grid.leray_hat(mh[:2] + p.L * _stress_div_hat(grid, mh[2:]))
 
 
@@ -320,8 +332,7 @@ def _tensor_hat(grid: Grid, u: np.ndarray, w: np.ndarray, q: np.ndarray, qh: np.
     n_q += corotate(w, q)
     n_q -= u[0] * dq[0]
     n_q -= u[1] * dq[1]
-    n_qh = grid.rfft(n_q)
-    n_qh *= grid.dealias_mask
+    n_qh = grid.rfft(n_q, band=True)
     n_qh -= (p.gamma * p.a) * qh
     return n_qh
 
@@ -332,7 +343,8 @@ def nonlinear(
     """Non-stiff right-hand sides (N_u, N_Q) for the integrating-factor scheme.
 
     Spectral in, spectral out: uh (2, n, n//2+1) and qh (5, n, n//2+1) are
-    half-spectrum coefficients, and so are the results.
+    half-spectrum coefficients of in-band fields (zero outside
+    Grid.dealias_mask), and so are the results.
     N_Q = -u.grad(Q) + Omega Q - Q Omega + gamma P(Q) and
     N_u = P[-u.grad(u) + L div{...}], Leray-projected and mean-zero; the
     stiff terms nu lap(u) and gamma L lap(Q) are the stepper's.  With a
@@ -340,24 +352,25 @@ def nonlinear(
     momentum nonlinearities are wrapped as J_n P(...), as in the truncated
     system.
 
-    One call transforms the 26 physical planes u, grad u, Q, d1 Q, d2 Q and
-    lap Q, evaluates the closed-form S0 products, and transforms back the
+    Advection of momentum is taken in vorticity form, P(omega u_perp),
+    which equals P(-u.grad u) on in-band u because two-thirds-rule products
+    of in-band fields are exact.  One call transforms the 22 physical planes
+    u, omega, Q, d1 Q, d2 Q and the four lap Q planes the stress commutator
+    reads, evaluates the closed-form S0 products, and transforms back the
     summed products with one dealias mask per output (5 planes for N_Q,
     6 momentum planes); only tr(Q^2) inside the cubic term takes its own
-    dealiased round trip.
+    dealiased round trip.  Every transform is band-pruned.
     """
     g = grid
     if p.n_cutoff is not None:
         uh = g.freq_cutoff_hat(uh, p.n_cutoff)
     ik = (1j * g.k1, 1j * g.k2)
-    u = g.irfft(uh)
-    q = g.irfft(qh)
+    u = g.irfft(uh, band=True)
+    q = g.irfft(qh, band=True)
     dq = _gradient_planes(g, qh, ik)
-    du = _gradient_planes(g, uh, ik)
-    w = 0.5 * (du[0, 1] - du[1, 0])
-    n_uh = _momentum_hat(g, u, du, q, qh, dq, p)
-    del du  # the tensor equation needs only the spin w
-    n_qh = _tensor_hat(g, u, w, q, qh, dq, p)
+    omega = g.irfft(ik[0] * uh[1] - ik[1] * uh[0], band=True)
+    n_uh = _momentum_hat(g, u, omega, q, qh, dq, p)
+    n_qh = _tensor_hat(g, u, 0.5 * omega, q, qh, dq, p)
     if p.n_cutoff is not None:
         n_uh = g.freq_cutoff_hat(n_uh, p.n_cutoff)
     n_uh[:, 0, 0] = 0.0

@@ -32,6 +32,17 @@ def fft_workers() -> int:
     return w
 
 
+def _in_place(transform, view: np.ndarray, workers: int) -> None:
+    """Complex transform along the first lattice axis of a view, into the view.
+
+    overwrite_x lets scipy reuse the view's memory (it does for complex
+    input), but does not promise it; a result elsewhere is copied back.
+    """
+    res = transform(view, axis=-2, overwrite_x=True, workers=workers)
+    if not np.may_share_memory(res, view):
+        view[...] = res
+
+
 def _lattice_index(n: int) -> np.ndarray:
     """Integer wavenumbers in FFT order, Nyquist mapped to +n/2."""
     idx = np.fft.fftfreq(n, 1.0 / n)
@@ -91,13 +102,42 @@ class Grid:
 
     # -- transforms ---------------------------------------------------------
 
-    def rfft(self, f: np.ndarray) -> np.ndarray:
-        """Forward half-spectrum transform (unscaled), batched over leading axes."""
-        return scipy.fft.rfft2(f, axes=(-2, -1), workers=self.workers)
+    # With band=True both transforms skip the half-spectrum columns
+    # k2 > n/3 that the dealias mask zeroes: the complex pass along the first
+    # axis runs on the n//3+1 kept columns only.  n is a power of two, so
+    # the inverse's two 1/n scalings equal irfft2's one 1/n^2 exactly.  Each
+    # call still makes exactly one call of a scipy.fft N-D entry point, so a
+    # library-level count of transformed planes matches the count taken at
+    # these methods.
 
-    def irfft(self, fh: np.ndarray) -> np.ndarray:
-        """Inverse half-spectrum transform (carries 1/n^2) to a real field."""
-        return scipy.fft.irfft2(fh, s=(self.n, self.n), axes=(-2, -1), workers=self.workers)
+    def rfft(self, f: np.ndarray, band: bool = False) -> np.ndarray:
+        """Forward half-spectrum transform (unscaled), batched over leading axes.
+
+        band=True returns dealias_mask * rfft(f), equal to it value for value.
+        """
+        if not band:
+            return scipy.fft.rfft2(f, axes=(-2, -1), workers=self.workers)
+        out = scipy.fft.rfftn(f, axes=(-1,), workers=self.workers)
+        _in_place(scipy.fft.fft, out[..., : self.n // 3 + 1], self.workers)
+        out *= self.dealias_mask
+        return out
+
+    def irfft(self, fh: np.ndarray, band: bool = False) -> np.ndarray:
+        """Inverse half-spectrum transform (carries 1/n^2) to a real field.
+
+        band=True requires fh to vanish in the columns k2 > n/3 (any in-band
+        field does) and then equals irfft(fh) value for value; the kept
+        columns are copied into scratch, so fh is not touched.
+        """
+        if not band:
+            return scipy.fft.irfft2(fh, s=(self.n, self.n), axes=(-2, -1), workers=self.workers)
+        cut = self.n // 3 + 1
+        buf = np.empty(fh.shape, dtype=complex)
+        buf[..., cut:] = 0.0
+        kept = buf[..., :cut]
+        kept[...] = fh[..., :cut]
+        _in_place(scipy.fft.ifft, kept, self.workers)
+        return scipy.fft.irfftn(buf, s=(self.n,), axes=(-1,), workers=self.workers)
 
     # -- pointwise lattice data --------------------------------------------
 
@@ -159,7 +199,7 @@ class Grid:
         return self.irfft(self.leray_hat(self.rfft(v)))
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
-        return self.irfft(self.dealias_mask * self.rfft(f))
+        return self.irfft(self.rfft(f, band=True), band=True)
 
     def freq_cutoff(self, f: np.ndarray, m: int) -> np.ndarray:
         return self.irfft(self.freq_cutoff_hat(self.rfft(f), m))

@@ -14,6 +14,12 @@ carried between steps as half-spectrum coefficients: a step takes and
 returns (uh, qh), and run() transforms each new state to physical space
 once, for the diagnostics that need it; twin_run() reads every channel
 from the coefficients.
+
+The stepping path relies on the state being in the dealias band (every
+mode with max(|k1|, |k2|) <= n/3): then the two-thirds-rule products are
+exact and every transform can skip the columns the mask zeroes.  run(),
+twin_run() and step() check the initial state once and mask it; the step
+keeps it in band.
 """
 
 from __future__ import annotations
@@ -22,12 +28,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicPartition
+from .dyadic import DyadicPartition, shared_partition
 from .qtensor import ModelParams, State, bulk_force_hat, nonlinear, trace_q2
 from .spectral import Grid, random_scalar, random_velocity
 
 # A run aborts once its energy exceeds this multiple of the initial energy.
 ENERGY_GUARD = 1e6
+
+# Largest share of an initial state's L^2 energy, |u|^2 + |Q|^2, that may lie
+# outside the dealias band; it admits transform roundoff (about 1e-28 for a
+# band-limited snapshot at 256^2) and rejects data that would alias.
+BAND_GUARD = 1e-20
+
+
+class BandError(ValueError):
+    """Raised when an initial state has more than BAND_GUARD of its energy
+    outside the dealias band."""
 
 
 class BlowUpError(RuntimeError):
@@ -118,7 +134,7 @@ class Stepper:
         return eu, eq
 
     def step(self, uh: np.ndarray, qh: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the half-spectrum coefficients (uh, qh) by dt; no transform of the state.
+        """Advance the in-band half-spectrum coefficients (uh, qh) by dt; no transform of the state.
 
         A non-finite result raises BlowUpError carrying max |u|, max |Q| of
         the input state (transformed only on that path) and dt.
@@ -147,11 +163,30 @@ def step(grid: Grid, s: State, p: ModelParams, tc: TimeConfig) -> State:
     st = Stepper(grid, p, tc)
     dt = st.auto_dt(s) if tc.dt == "auto" else float(tc.dt)
     try:
-        uh, qh = st.step(grid.rfft(s.u), grid.rfft(s.q), dt)
+        uh, qh = st.step(*_band_limited(grid, s), dt)
     except BlowUpError as err:
         err.t = s.t + dt
         raise
-    return State(grid.irfft(uh), grid.irfft(qh), s.t + dt)
+    return State(grid.irfft(uh, band=True), grid.irfft(qh, band=True), s.t + dt)
+
+
+def _band_limited(grid: Grid, s: State, what: str = "initial state"
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients (uh, qh) of s, masked to the dealias band.
+
+    Raises BandError when more than BAND_GUARD of the energy |u|^2 + |Q|^2
+    lies outside the band; the share is read from the coefficients.
+    """
+    uh, qh = grid.rfft(s.u), grid.rfft(s.q)
+    power = grid.power_hat(uh) + grid.power_hat(qh)
+    outside = float(power[~grid.dealias_mask].sum())
+    total = float(power.sum())
+    if outside > BAND_GUARD * total:
+        raise BandError(
+            f"{what} has {outside / total:.3g} of its energy outside the dealias band "
+            f"max(|k1|, |k2|) <= n/3 = {grid.n / 3:.4g} (at most {BAND_GUARD:g} allowed); "
+            f"band-limit the data to |k| <= n/3")
+    return uh * grid.dealias_mask, qh * grid.dealias_mask
 
 
 # -- diagnostics -----------------------------------------------------------------
@@ -225,10 +260,10 @@ def run(
     state_stride > 0 stores every stride-th state (plus initial and final);
     aborting steps flush the partial series into the raised error.
     """
-    part = DyadicPartition(grid)
+    part = shared_partition(grid)
     stepper = Stepper(grid, p, tc)
     s = init.copy()
-    uh, qh = grid.rfft(s.u), grid.rfft(s.q)
+    uh, qh = _band_limited(grid, s)
     times = [s.t]
     rows = [standard_probes(grid, part, s, uh, qh, p, hs_probes)]
     states = [s]
@@ -241,7 +276,7 @@ def run(
             uh, qh = stepper.step(uh, qh, dt)
         except BlowUpError as err:
             raise _flush(err, t, times, rows)
-        s = State(grid.irfft(uh), grid.irfft(qh), t)
+        s = State(grid.irfft(uh, band=True), grid.irfft(qh, band=True), t)
         k += 1
         times.append(t)
         row = standard_probes(grid, part, s, uh, qh, p, hs_probes)
@@ -343,12 +378,11 @@ def twin_run(
     members at the end.
     """
     g = grid
-    w = DyadicPartition(g).sobolev_weight(-0.5)
+    w = shared_partition(g).sobolev_weight(-0.5)
     stepper = Stepper(g, p, tc)
     auto = tc.dt == "auto"
-    sb = perturb.apply(g, init)
-    a = (g.rfft(init.u), g.rfft(init.q))
-    b = (g.rfft(sb.u), g.rfft(sb.q))
+    a = _band_limited(g, init)
+    b = _band_limited(g, perturb.apply(g, init), "perturbed initial state")
     member1 = init  # physical member 1, current only when dt = "auto"
 
     t = init.t
@@ -365,7 +399,7 @@ def twin_run(
         except BlowUpError as err:
             raise _flush(err, t, times, rows)
         if auto:
-            member1 = State(g.irfft(a[0]), g.irfft(a[1]), t)
+            member1 = State(g.irfft(a[0], band=True), g.irfft(a[1], band=True), t)
         k += 1
         times.append(t)
         row = _twin_probes(g, w, a, b, p)
@@ -376,7 +410,7 @@ def twin_run(
 
     series = _columns(rows)
     series["chi"] = _log_derivative(np.array(times), series["phi"])
-    finals = [State(g.irfft(uh), g.irfft(qh), t) for uh, qh in (a, b)]
+    finals = [State(g.irfft(uh, band=True), g.irfft(qh, band=True), t) for uh, qh in (a, b)]
     return Trajectory(g, p, np.array(times), series, finals)
 
 

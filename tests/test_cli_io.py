@@ -316,6 +316,66 @@ def test_restart_rejects_other_grid(tmp_path):
                 main(command)
 
 
+def test_config_band_guard(tmp_path):
+    # the random_spectrum band must be non-empty and inside the dealias band
+    # n/3; each rejection names its line
+    text = full_config(tmp_path / "out")  # n = 32
+    k = text.splitlines().index("kmax = 6") + 1
+    assert parse_config(text).kmax == 6.0
+    assert parse_config(text.replace("kmax = 6", "kmax = 10.5")).kmax == 10.5  # <= 32/3
+    for line, pattern in (("kmax = 11", rf"line {k}: .*kmax = 11 must lie in \[1, n/3\]"),
+                          ("kmax = 0.5", rf"line {k}: .*kmax = 0.5"),
+                          ("kmax = -1", rf"line {k}: .*kmax = -1"),
+                          ("kmax = nan", rf"line {k}: .*kmax = nan"),
+                          ("kmax = 6\nkmin = 7", rf"line {k + 1}: .*kmin = 7 exceeds kmax = 6")):
+        with pytest.raises(ConfigError, match=pattern):
+            parse_config(text.replace("kmax = 6", line))
+    # kmax defaults to n/4 = 8, which kmin = 9 empties
+    with pytest.raises(ConfigError, match=rf"line {k}: .*kmin = 9 exceeds kmax = 8"):
+        parse_config(text.replace("kmax = 6", "kmin = 9"))
+    # other presets and snapshots do not draw from the band
+    assert parse_config(text.replace("kmax = 6", "kmax = 40").replace(
+        "preset = random_spectrum", "preset = taylor_green")).kmax == 40.0
+    assert parse_config(restart_config(tmp_path, tmp_path / "s.qtns", "[grid]\nn = 16")).kmax == 6.0
+
+
+def test_cli_rejects_out_of_band_snapshot(tmp_path):
+    # n = 16 with kmax = 6 > 16/3: about 1e-2 of the energy lies past the
+    # dealias band, and both stepping commands refuse it before a step
+    g = Grid(16)
+    rng = np.random.default_rng(0)
+    st = State(0.4 * random_velocity(g, rng, kmax=6, decay=2.0),
+               0.3 * random_qtensor(g, rng, kmax=6, decay=2.0))
+    snap = tmp_path / "wide.qtns"
+    write_snapshot(snap, g, ModelParams(a=-0.2, b=0.8, c=1.0, gamma=0.8, nu=0.25, L=0.4), st)
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(restart_config(tmp_path, snap, "[grid]\nn = 16"))
+    for command in (["simulate", str(cfg)], ["twin", str(cfg), "--eps", "1e-4"]):
+        with pytest.raises(SystemExit, match="error: initial state has .* outside the dealias band"):
+            main(command)
+    assert not (tmp_path / "out" / "series.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["all", "bony", "neg_index"])
+def test_cli_check_rejects_nonpositive_trials(name, capsys):
+    # no verdict without a trial: --trials 0 used to end in a traceback and
+    # --trials -3 in a vacuous PASS
+    for trials in ("0", "-3"):
+        with pytest.raises(SystemExit, match=f"error: --trials must be >= 1, got {trials}"):
+            main(["check", name, "--n", "16", "--trials", trials])
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_cli_norms_uses_shared_partition(tmp_path, monkeypatch):
+    g, st = random_state(n=16)
+    snap = tmp_path / "s.qtns"
+    write_snapshot(snap, g, ModelParams(a=-0.2, b=0.8, c=1.0, gamma=0.8, nu=0.25, L=0.4), st)
+    dyadic._partition.cache_clear()
+    assert main(["norms", str(snap)]) == 0
+    monkeypatch.setattr(DyadicPartition, "__post_init__", lambda self: pytest.fail("rebuilt"))
+    assert main(["norms", str(snap), "--spec", "1,2,2"]) == 0
+
+
 def test_cli_reports_csv_columns(tmp_path):
     path = tmp_path / "rep.csv"
     main(["check", "all", "--n", "32", "--trials", "2", "--csv", str(path)])

@@ -171,6 +171,26 @@ def test_dealias_examples(grid):
     assert np.abs(grid.dealias(once) - once).max() <= 1e-13 * np.abs(once).max()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_band_transforms_match_full_transforms(monkeypatch, workers):
+    # the band-pruned passes equal mask * rfft and irfft value for value, and
+    # irfft(band=True) only reads its input
+    monkeypatch.setenv("QFLOW_THREADS", workers)
+    rng = np.random.default_rng(11)
+    for n in (8, 16, 32, 64, 128, 256):
+        for length in (2 * np.pi, 3.7):
+            g = Grid(n, length=length)
+            cols = np.arange(n // 2 + 1) <= n / 3  # the columns the band transforms keep
+            for lead in ((), (2,), (5,), (2, 3)):
+                f = rng.normal(size=lead + (n, n))
+                full = g.rfft(f)
+                assert np.array_equal(g.rfft(f, band=True), g.dealias_mask * full)
+                for fh in (g.dealias_mask * full, cols * full):
+                    before = fh.copy()
+                    assert np.array_equal(g.irfft(fh, band=True), g.irfft(fh))
+                    assert np.array_equal(fh, before)
+
+
 def test_random_velocity_invariants(grid):
     rng = np.random.default_rng(7)
     v = random_velocity(grid, rng)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from qflow import timestepping
+from qflow import dyadic, timestepping
 from qflow.dyadic import DyadicPartition
 from qflow.qtensor import ModelParams, State, random_qtensor
 from qflow.spectral import Grid, random_velocity
 from qflow.timestepping import (
+    BandError,
     BlowUpError,
     Perturbation,
     Stepper,
@@ -270,9 +271,9 @@ def count_planes(monkeypatch) -> dict[str, int]:
     counts = {"r2c": 0, "c2r": 0}
 
     def counted(fn, kind):
-        def wrapper(self, f):
+        def wrapper(self, f, **kw):
             counts[kind] += int(np.prod(np.shape(f)[:-2]))
-            return fn(self, f)
+            return fn(self, f, **kw)
         return wrapper
 
     monkeypatch.setattr(Grid, "rfft", counted(Grid.rfft, "r2c"))
@@ -282,8 +283,9 @@ def count_planes(monkeypatch) -> dict[str, int]:
 
 @pytest.mark.parametrize("n_cutoff", [None, 4])
 def test_step_and_probe_plane_budget(monkeypatch, n_cutoff):
-    # per stage 27 c2r (26 physical planes and the tr(Q^2) round trip) and
-    # 12 r2c (5 + 6 outputs, tr(Q^2)); the state stays in coefficients
+    # per stage 23 c2r (22 physical planes: u, omega, Q, grad Q and four lap Q
+    # planes; and the tr(Q^2) round trip) and 12 r2c (5 + 6 outputs,
+    # tr(Q^2)); the state stays in coefficients
     g = Grid(16)
     p = params(n_cutoff=n_cutoff)
     s = smooth_state(g, kmax=4)
@@ -297,7 +299,7 @@ def test_step_and_probe_plane_budget(monkeypatch, n_cutoff):
         fn(*args)
         return counts["r2c"], counts["c2r"]
 
-    assert planes(stepper.step, uh, qh, 1e-3) == (24, 54)
+    assert planes(stepper.step, uh, qh, 1e-3) == (24, 46)
     # P(Q) products and tr(Q^2): 6 r2c + 1 c2r; u and Q are not transformed again
     assert planes(standard_probes, g, part, s, uh, qh, p, (0.5,)) == (6, 1)
 
@@ -306,10 +308,10 @@ def test_step_and_probe_plane_budget(monkeypatch, n_cutoff):
         r2c, c2r = zip(*(planes(runner, TimeConfig(dt=1e-3, t_end=m * 1e-3)) for m in (2, 3)))
         return r2c[1] - r2c[0], c2r[1] - c2r[0]
 
-    assert per_step(lambda tc: run(g, s, p, tc, hs_probes=(0.5,))) == (30, 62)
+    assert per_step(lambda tc: run(g, s, p, tc, hs_probes=(0.5,))) == (30, 54)
     # twin_run, per twin step: two member steps; a probe row transforms nothing
     twin = Perturbation(1e-3, seed=1)
-    assert per_step(lambda tc: twin_run(g, s, twin, p, tc)) == (48, 108)
+    assert per_step(lambda tc: twin_run(g, s, twin, p, tc)) == (48, 92)
     w = part.sobolev_weight(-0.5)
     assert planes(timestepping._twin_probes, g, w, (uh, qh), (uh, 2.0 * qh), p) == (0, 0)
 
@@ -383,7 +385,8 @@ def test_non_finite_step_reports_input_state():
     p = params(a=-5.0, b=0.0, c=1.0, gamma=2.0)
     init = smooth_state(g, amp_u=0.5, amp_q=2.0, kmax=4)
     stepper = Stepper(g, p, TimeConfig(dt=2.0))
-    uh, qh = g.rfft(init.u), g.rfft(init.q)
+    # the in-band coefficients that run() steps from
+    uh, qh = g.dealias_mask * g.rfft(init.u), g.dealias_mask * g.rfft(init.q)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(100):
             try:
@@ -402,3 +405,67 @@ def test_non_finite_step_reports_input_state():
     times, _ = info.value.partial
     assert len(times) == k + 1 and info.value.t == 2.0 * (k + 1)
     assert info.value.diagnostics["max_u"] == err.diagnostics["max_u"]
+
+
+def out_of_band_noise(g, share, seed=0):
+    """Physical planes (u, Q) holding only modes outside the dealias band."""
+    rng = np.random.default_rng(seed)
+    hat = rng.normal(size=(7, g.n, g.n // 2 + 1)) * ~g.dealias_mask
+    noise = g.irfft(hat)
+    return np.sqrt(share) * noise / np.sqrt(np.sum(noise**2))
+
+
+def test_band_guard_rejects_out_of_band_initial_state():
+    # data past n/3 would make the first products alias: run, twin_run and
+    # step refuse it (n = 16, kmax = 6 > 16/3, about 1e-2 of the energy)
+    g = Grid(16)
+    p = params()
+    tc = TimeConfig(dt=1e-3, t_end=2e-3)
+    wide = smooth_state(g, kmax=6)
+    for call in (lambda: run(g, wide, p, tc), lambda: step(g, wide, p, tc),
+                 lambda: twin_run(g, wide, Perturbation(1e-3), p, tc)):
+        with pytest.raises(BandError, match="initial state has .* outside the dealias band"):
+            call()
+    # an out-of-band perturbation of in-band data is refused too
+    with pytest.raises(BandError, match="perturbed initial state"):
+        twin_run(g, smooth_state(g, kmax=4), Perturbation(1e-3, kmax=6), p, tc)
+
+
+def test_band_guard_masks_roundoff():
+    # a share at roundoff level passes and is masked off once; above
+    # BAND_GUARD the same data is refused
+    g = Grid(16)
+    p = params()
+    tc = TimeConfig(dt=1e-3, t_end=4e-3)
+    clean = smooth_state(g, kmax=4)
+    energy = g.inner(clean.u, clean.u) + g.inner(clean.q, clean.q)
+    base = run(g, clean, p, tc).states[-1]
+    for share in (1e-26, 1e-22):
+        noise = out_of_band_noise(g, share * energy / g.cell_area)
+        noisy = State(clean.u + noise[:2], clean.q + noise[2:])
+        got = run(g, noisy, p, tc).states[-1]
+        for x, y in ((got.u, base.u), (got.q, base.q)):
+            assert np.abs(x - y).max() <= 1e-14 * np.abs(y).max()
+    noise = out_of_band_noise(g, 1e-18 * energy / g.cell_area)
+    with pytest.raises(BandError):
+        run(g, State(clean.u + noise[:2], clean.q + noise[2:]), p, tc)
+
+
+def test_runs_share_one_partition(monkeypatch):
+    # run and twin_run take the grid's shared DyadicPartition
+    built = []
+    post_init = DyadicPartition.__post_init__
+
+    def counted(self):
+        built.append(self.grid.n)
+        post_init(self)
+
+    monkeypatch.setattr(DyadicPartition, "__post_init__", counted)
+    dyadic._partition.cache_clear()
+    g = Grid(16)
+    tc = TimeConfig(dt=1e-3, t_end=2e-3)
+    init = smooth_state(g, kmax=4)
+    run(g, init, params(), tc, hs_probes=(0.5,))
+    run(g, init, params(), tc)
+    twin_run(g, init, Perturbation(1e-3), params(), tc)
+    assert built == [16]
