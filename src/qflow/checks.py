@@ -275,11 +275,9 @@ def neg_index_check(grid: Grid, s: float = -0.5, trials: int = 100, seed: int = 
         if ratio is not None:
             ratios.append(ratio)
     lo, hi = float(min(ratios)), float(max(ratios))
-    if baseline is not None:
-        clo, chi = baseline
-    else:
-        entry = BASELINES["neg_index_equiv"]
-        clo, chi = (entry["c"], entry["C"]) if entry.get("n") == grid.n else (None, None)
+    lo_override, hi_override = (None, None) if baseline is None else baseline
+    clo = _baseline("neg_index_equiv", "c", grid, lo_override)
+    chi = _baseline("neg_index_equiv", "C", grid, hi_override)
     ok = math.isfinite(lo) and math.isfinite(hi) and lo > 0
     if clo is not None:
         ok = ok and lo >= clo / 1.1 and hi <= chi * 1.1
@@ -379,8 +377,7 @@ def energy_residual(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     p = traj.params
     t = traj.times
     S = traj.series
-    e = S["l2_u2"] + S["l2_q2"] + p.L * S["gradq2"]
-    dedt = np.gradient(e, t)
+    dedt = np.gradient(S["energy"], t)
     r = (dedt + 2 * p.nu * S["gradu2"] + 2 * p.gamma * p.L * S["gradq2"]
          + 2 * p.gamma * p.L**2 * S["lapq2"]
          - 2 * p.gamma * (S["pq_q"] - p.L * S["pq_lapq"]))

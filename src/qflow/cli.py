@@ -7,6 +7,7 @@ aborted) and zero otherwise.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -72,6 +73,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_twin(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.eps) and args.eps >= 0):
+        raise SystemExit(f"error: --eps must be a finite number >= 0, got {args.eps}")
     cfg, grid, init, out = _prepare_run(args)
     path = out / f"twin_eps{args.eps:g}_seed{args.seed}.csv"
     try:
@@ -170,10 +173,13 @@ def cmd_norms(args: argparse.Namespace) -> int:
     except OSError as err:
         raise SystemExit(f"error: {err}")
     try:
-        s_str, p_str, r_str = args.spec.split(",")
-        spec = NormSpec(float(s_str), float(p_str), float("inf") if r_str == "inf" else float(r_str))
+        s, p, r = (float(x) for x in args.spec.split(","))
     except ValueError:
         raise SystemExit(f"error: --spec must be 's,p,r', got {args.spec!r}")
+    if not (math.isfinite(s) and p >= 1 and r >= 1):
+        raise SystemExit(f"error: --spec needs a finite s and p, r >= 1 (p, r may be inf), "
+                         f"got {args.spec!r}")
+    spec = NormSpec(s, p, r)
     part = shared_partition(grid)
     print(f"t={state.t:.17g}")
     print(f"besov_u={part.besov_norm(state.u, spec):.17g}")

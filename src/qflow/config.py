@@ -81,6 +81,17 @@ def _parse_sections(text: str) -> dict[tuple[str, str], tuple[str, int]]:
     return entries
 
 
+def _finite(text: str) -> float:
+    """The cast of every float key: float(text), refusing nan and +-inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+_KINDS = {int: "an integer", _finite: "a finite number"}
+
+
 def _get(entries, section, key, cast, default=None):
     if (section, key) not in entries:
         return default
@@ -88,7 +99,8 @@ def _get(entries, section, key, cast, default=None):
     try:
         return cast(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"line {lineno}: cannot parse [{section}] {key} = {value!r}")
+        raise ConfigError(f"line {lineno}: cannot parse [{section}] {key} = {value} "
+                          f"as {_KINDS[cast]}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -99,7 +111,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"missing required key {key!r} in section [{section}]")
 
     n = _get(entries, "grid", "n", int)
-    length = _get(entries, "grid", "len", float, 2.0 * math.pi)
+    length = _get(entries, "grid", "len", _finite, 2.0 * math.pi)
     if n < 8 or (n & (n - 1)) != 0:
         lineno = entries[("grid", "n")][1]
         raise ConfigError(f"line {lineno}: grid n must be a power of two >= 8, got {n}")
@@ -107,20 +119,21 @@ def parse_config(text: str) -> RunConfig:
         lineno = entries[("grid", "len")][1]
         raise ConfigError(f"line {lineno}: grid len must be positive")
 
-    kwargs = {k: _get(entries, "params", k, float) for k in ("a", "b", "c", "gamma", "nu", "L")}
+    kwargs = {k: _get(entries, "params", k, _finite) for k in ("a", "b", "c", "gamma", "nu", "L")}
     n_cutoff = _get(entries, "params", "n_cutoff", int)
     try:
         params = ModelParams(n_cutoff=n_cutoff, **kwargs)
     except ValueError as err:
         raise ConfigError(f"section [params]: {err}")
 
-    dt_raw = _get(entries, "time", "dt", str, "auto")
-    dt: float | str = "auto" if dt_raw == "auto" else float(dt_raw)
+    dt = _get(entries, "time", "dt", str, "auto")
+    if dt != "auto":
+        dt = _get(entries, "time", "dt", _finite)
     try:
         tc = TimeConfig(
             dt=dt,
-            t_end=_get(entries, "time", "t_end", float, 1.0),
-            cfl=_get(entries, "time", "cfl", float, 0.4),
+            t_end=_get(entries, "time", "t_end", _finite, 1.0),
+            cfl=_get(entries, "time", "cfl", _finite, 0.4),
             scheme=_get(entries, "time", "scheme", str, "if-rk2"),
         )
     except ValueError as err:
@@ -131,8 +144,8 @@ def parse_config(text: str) -> RunConfig:
         lineno = entries[("init", "preset")][1]
         raise ConfigError(f"line {lineno}: unknown preset {preset!r}; choose from {PRESETS}")
     snapshot = _get(entries, "init", "snapshot", str)
-    kmin = _get(entries, "init", "kmin", float, 1.0)
-    kmax = _get(entries, "init", "kmax", float)
+    kmin = _get(entries, "init", "kmin", _finite, 1.0)
+    kmax = _get(entries, "init", "kmax", _finite)
     if preset == "random_spectrum" and snapshot is None:
         _check_band(entries, n, kmin, n / 4.0 if kmax is None else kmax)
 
@@ -144,10 +157,13 @@ def parse_config(text: str) -> RunConfig:
     probes_raw = _get(entries, "output", "probes", str, "")
     hs: list[float] = []
     for tok in filter(None, (tok.strip() for tok in probes_raw.split(","))):
+        lineno = entries[("output", "probes")][1]
         if not tok.startswith("hs:"):
-            lineno = entries[("output", "probes")][1]
             raise ConfigError(f"line {lineno}: unknown probe {tok!r} (expected 'hs:<s>')")
-        hs.append(float(tok[3:]))
+        try:
+            hs.append(_finite(tok[3:]))
+        except ValueError:
+            raise ConfigError(f"line {lineno}: cannot parse probe {tok!r}: s must be a finite number")
 
     return RunConfig(
         n=n,
@@ -157,11 +173,11 @@ def parse_config(text: str) -> RunConfig:
         preset=preset,
         snapshot=snapshot,
         seed=_get(entries, "init", "seed", int, 0),
-        amplitude_u=_get(entries, "init", "amplitude_u", float, 0.5),
-        amplitude_q=_get(entries, "init", "amplitude_q", float, 0.5),
+        amplitude_u=_get(entries, "init", "amplitude_u", _finite, 0.5),
+        amplitude_q=_get(entries, "init", "amplitude_q", _finite, 0.5),
         kmin=kmin,
         kmax=kmax,
-        decay=_get(entries, "init", "decay", float, 2.0),
+        decay=_get(entries, "init", "decay", _finite, 2.0),
         out_dir=_get(entries, "output", "dir", str, "."),
         snapshot_stride=stride,
         hs_probes=tuple(hs),

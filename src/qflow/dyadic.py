@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,14 +122,7 @@ class DyadicPartition:
         """Lattice-truncated homogeneous Besov norm."""
         if subtract_mean:
             f = self.grid.zero_mean(f)
-        fh = self.grid.rfft(f)
-        seq = np.array(
-            [2.0 ** (spec.s * q) * self.grid.norm_lp(self.grid.irfft(self.phi[q] * fh), spec.p)
-             for q in self.qs]
-        )
-        if spec.r == np.inf:
-            return float(seq.max(initial=0.0))
-        return float(np.sum(seq**spec.r) ** (1.0 / spec.r))
+        return _lr_norm(self, self.grid.rfft(f), spec, self.phi.get)
 
     # -- Bony paraproduct -------------------------------------------------------
 
@@ -271,6 +265,18 @@ def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x * y
 
 
+def _lr_norm(part: DyadicPartition, fh: np.ndarray, spec: NormSpec,
+             multiplier: Callable[[int], np.ndarray]) -> float:
+    """l^r sum over the resolved q of 2^(s q) ||irfft(multiplier(q) fh)||_{L^p}."""
+    g = part.grid
+    seq = np.array(
+        [2.0 ** (spec.s * q) * g.norm_lp(g.irfft(multiplier(q) * fh), spec.p) for q in part.qs]
+    )
+    if spec.r == np.inf:
+        return float(seq.max(initial=0.0))
+    return float(np.sum(seq**spec.r) ** (1.0 / spec.r))
+
+
 def commutator(
     part: DyadicPartition, a: np.ndarray, f: np.ndarray, q: int, qp: int
 ) -> np.ndarray:
@@ -300,18 +306,8 @@ def neg_index_equiv(
     g = part.grid
     f = g.zero_mean(f)
     fh = g.rfft(f)
-    block_seq = np.array(
-        [2.0 ** (spec.s * q) * g.norm_lp(g.irfft(part.phi[q] * fh), spec.p) for q in part.qs]
-    )
-    low_seq = np.array(
-        [2.0 ** (spec.s * q) * g.norm_lp(g.irfft(part.lowpass_multiplier(q) * fh), spec.p)
-         for q in part.qs]
-    )
-    if spec.r == np.inf:
-        bn, ln = float(block_seq.max(initial=0.0)), float(low_seq.max(initial=0.0))
-    else:
-        bn = float(np.sum(block_seq**spec.r) ** (1.0 / spec.r))
-        ln = float(np.sum(low_seq**spec.r) ** (1.0 / spec.r))
+    bn = _lr_norm(part, fh, spec, part.phi.get)
+    ln = _lr_norm(part, fh, spec, part.lowpass_multiplier)
     ratio = ln / bn if bn > 0 else None
     return bn, ln, ratio
 

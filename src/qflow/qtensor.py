@@ -16,8 +16,7 @@ Pointwise products are evaluated in closed form on the coefficient planes
 (no dense 3x3 matrices on the stepping path).  Dealiasing uses the
 two-thirds rule, applied once to each summed output; the cubic bulk term
 tr(Q^2) Q is formed as two successive dealiased binary products (first
-tr(Q^2), then the multiplication by Q).  The stepping path keeps every field
-in the dealias band, so its transforms are the band-pruned ones of Grid.
+tr(Q^2), then the multiplication by Q).
 """
 
 from __future__ import annotations
@@ -295,7 +294,7 @@ def _gradient_planes(grid: Grid, fh: np.ndarray, ik: tuple[np.ndarray, np.ndarra
     buf = np.empty((2,) + fh.shape, dtype=complex)
     np.multiply(ik[0], fh, out=buf[0])
     np.multiply(ik[1], fh, out=buf[1])
-    return grid.irfft(buf, band=True)
+    return grid.irfft(buf)
 
 
 #: The lap Q planes that (Q lapQ - lapQ Q)_12 reads: E1, E3, E4, E5, not E2.
@@ -314,7 +313,7 @@ def _momentum_hat(grid: Grid, u: np.ndarray, omega: np.ndarray, q: np.ndarray, q
     mom = np.empty((6,) + u.shape[1:])
     mom[0] = omega * u[1]
     mom[1] = -omega * u[0]
-    lap = grid.irfft(grid.laplacian_hat(qh[_COMMUTATOR_PLANES]), band=True)
+    lap = grid.irfft(grid.laplacian_hat(qh[_COMMUTATOR_PLANES]))
     _stress_planes(mom[2:], q, (lap[0], None, lap[1], lap[2], lap[3]), dq[0], dq[1])
     mh = grid.rfft(mom, band=True)
     return grid.leray_hat(mh[:2] + p.L * _stress_div_hat(grid, mh[2:]))
@@ -343,8 +342,8 @@ def nonlinear(
     """Non-stiff right-hand sides (N_u, N_Q) for the integrating-factor scheme.
 
     Spectral in, spectral out: uh (2, n, n//2+1) and qh (5, n, n//2+1) are
-    half-spectrum coefficients of in-band fields (zero outside
-    Grid.dealias_mask), and so are the results.
+    half-spectrum coefficients, and the results are zero outside
+    Grid.dealias_mask.
     N_Q = -u.grad(Q) + Omega Q - Q Omega + gamma P(Q) and
     N_u = P[-u.grad(u) + L div{...}], Leray-projected and mean-zero; the
     stiff terms nu lap(u) and gamma L lap(Q) are the stepper's.  With a
@@ -359,16 +358,16 @@ def nonlinear(
     reads, evaluates the closed-form S0 products, and transforms back the
     summed products with one dealias mask per output (5 planes for N_Q,
     6 momentum planes); only tr(Q^2) inside the cubic term takes its own
-    dealiased round trip.  Every transform is band-pruned.
+    dealiased round trip.
     """
     g = grid
     if p.n_cutoff is not None:
         uh = g.freq_cutoff_hat(uh, p.n_cutoff)
     ik = (1j * g.k1, 1j * g.k2)
-    u = g.irfft(uh, band=True)
-    q = g.irfft(qh, band=True)
+    u = g.irfft(uh)
+    q = g.irfft(qh)
     dq = _gradient_planes(g, qh, ik)
-    omega = g.irfft(ik[0] * uh[1] - ik[1] * uh[0], band=True)
+    omega = g.irfft(ik[0] * uh[1] - ik[1] * uh[0])
     n_uh = _momentum_hat(g, u, omega, q, qh, dq, p)
     n_qh = _tensor_hat(g, u, 0.5 * omega, q, qh, dq, p)
     if p.n_cutoff is not None:

@@ -102,13 +102,11 @@ class Grid:
 
     # -- transforms ---------------------------------------------------------
 
-    # With band=True both transforms skip the half-spectrum columns
-    # k2 > n/3 that the dealias mask zeroes: the complex pass along the first
-    # axis runs on the n//3+1 kept columns only.  n is a power of two, so
-    # the inverse's two 1/n scalings equal irfft2's one 1/n^2 exactly.  Each
-    # call still makes exactly one call of a scipy.fft N-D entry point, so a
-    # library-level count of transformed planes matches the count taken at
-    # these methods.
+    # The band-pruned passes run the complex first-axis pass on the n//3+1
+    # columns k2 <= n/3 only.  n is a power of two, so the inverse's two 1/n
+    # scalings equal irfft2's one 1/n^2 exactly.  Each call makes exactly one
+    # call of a scipy.fft N-D entry point, so a library-level count of
+    # transformed planes matches the count taken at these methods.
 
     def rfft(self, f: np.ndarray, band: bool = False) -> np.ndarray:
         """Forward half-spectrum transform (unscaled), batched over leading axes.
@@ -122,16 +120,16 @@ class Grid:
         out *= self.dealias_mask
         return out
 
-    def irfft(self, fh: np.ndarray, band: bool = False) -> np.ndarray:
+    def irfft(self, fh: np.ndarray) -> np.ndarray:
         """Inverse half-spectrum transform (carries 1/n^2) to a real field.
 
-        band=True requires fh to vanish in the columns k2 > n/3 (any in-band
-        field does) and then equals irfft(fh) value for value; the kept
+        When fh vanishes in the columns k2 > n/3 (any in-band field does) the
+        pass is band-pruned, with the same result bit for bit; the kept
         columns are copied into scratch, so fh is not touched.
         """
-        if not band:
-            return scipy.fft.irfft2(fh, s=(self.n, self.n), axes=(-2, -1), workers=self.workers)
         cut = self.n // 3 + 1
+        if fh[..., cut:].any():
+            return scipy.fft.irfft2(fh, s=(self.n, self.n), axes=(-2, -1), workers=self.workers)
         buf = np.empty(fh.shape, dtype=complex)
         buf[..., cut:] = 0.0
         kept = buf[..., :cut]
@@ -199,7 +197,7 @@ class Grid:
         return self.irfft(self.leray_hat(self.rfft(v)))
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
-        return self.irfft(self.rfft(f, band=True), band=True)
+        return self.irfft(self.rfft(f, band=True))
 
     def freq_cutoff(self, f: np.ndarray, m: int) -> np.ndarray:
         return self.irfft(self.freq_cutoff_hat(self.rfft(f), m))

@@ -16,10 +16,9 @@ once, for the diagnostics that need it; twin_run() reads every channel
 from the coefficients.
 
 The stepping path relies on the state being in the dealias band (every
-mode with max(|k1|, |k2|) <= n/3): then the two-thirds-rule products are
-exact and every transform can skip the columns the mask zeroes.  run(),
-twin_run() and step() check the initial state once and mask it; the step
-keeps it in band.
+mode with max(|k1|, |k2|) <= n/3), where the two-thirds-rule products, and
+so the vorticity form of the advection, are exact.  run(), twin_run() and
+step() check the initial state once and mask it; the step keeps it in band.
 """
 
 from __future__ import annotations
@@ -167,7 +166,7 @@ def step(grid: Grid, s: State, p: ModelParams, tc: TimeConfig) -> State:
     except BlowUpError as err:
         err.t = s.t + dt
         raise
-    return State(grid.irfft(uh, band=True), grid.irfft(qh, band=True), s.t + dt)
+    return State(grid.irfft(uh), grid.irfft(qh), s.t + dt)
 
 
 def _band_limited(grid: Grid, s: State, what: str = "initial state"
@@ -276,7 +275,7 @@ def run(
             uh, qh = stepper.step(uh, qh, dt)
         except BlowUpError as err:
             raise _flush(err, t, times, rows)
-        s = State(grid.irfft(uh, band=True), grid.irfft(qh, band=True), t)
+        s = State(grid.irfft(uh), grid.irfft(qh), t)
         k += 1
         times.append(t)
         row = standard_probes(grid, part, s, uh, qh, p, hs_probes)
@@ -399,7 +398,7 @@ def twin_run(
         except BlowUpError as err:
             raise _flush(err, t, times, rows)
         if auto:
-            member1 = State(g.irfft(a[0], band=True), g.irfft(a[1], band=True), t)
+            member1 = State(g.irfft(a[0]), g.irfft(a[1]), t)
         k += 1
         times.append(t)
         row = _twin_probes(g, w, a, b, p)
@@ -410,7 +409,7 @@ def twin_run(
 
     series = _columns(rows)
     series["chi"] = _log_derivative(np.array(times), series["phi"])
-    finals = [State(g.irfft(uh, band=True), g.irfft(qh, band=True), t) for uh, qh in (a, b)]
+    finals = [State(g.irfft(uh), g.irfft(qh), t) for uh, qh in (a, b)]
     return Trajectory(g, p, np.array(times), series, finals)
 
 

@@ -339,6 +339,45 @@ def test_config_band_guard(tmp_path):
     assert parse_config(restart_config(tmp_path, tmp_path / "s.qtns", "[grid]\nn = 16")).kmax == 6.0
 
 
+@pytest.mark.parametrize("old, new", [
+    ("n = 32", "n = 32\nlen = inf"),
+    ("dt = 0.005", "dt = inf"),
+    ("t_end = 0.05", "t_end = inf"),
+    ("t_end = 0.05", "t_end = nan"),
+    ("a = -0.2", "a = nan"),
+    ("c = 1.0", "c = inf"),
+    ("amplitude_u = 0.4", "amplitude_u = nan"),
+    ("amplitude_q = 0.3", "amplitude_q = inf"),
+    ("kmax = 6", "kmax = 6\ndecay = nan"),
+    ("[output]", "[output]\nprobes = hs:abc"),
+    ("[output]", "[output]\nprobes = hs:nan"),
+])
+def test_config_rejects_non_finite_values(tmp_path, old, new):
+    # every float key is cast to a finite float; each rejection names its line
+    text = full_config(tmp_path / "out").replace(old, new)
+    k = text.splitlines().index(new.splitlines()[-1]) + 1
+    with pytest.raises(ConfigError, match=rf"line {k}: .*finite"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("spec", ["0.5,0,2", "nan,2,2", "inf,2,2", "0.5,nan,2", "0.5,2,0.5"])
+def test_cli_norms_rejects_bad_spec(tmp_path, spec):
+    g, st = random_state(n=16)
+    snap = tmp_path / "s.qtns"
+    write_snapshot(snap, g, ModelParams(a=-0.2, b=0.8, c=1.0, gamma=0.8, nu=0.25, L=0.4), st)
+    with pytest.raises(SystemExit, match="error: --spec needs a finite s and p, r >= 1"):
+        main(["norms", str(snap), f"--spec={spec}"])
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1e-3"])
+def test_cli_twin_rejects_bad_eps(tmp_path, eps):
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(full_config(tmp_path / "out"))
+    with pytest.raises(SystemExit, match="error: --eps must be a finite number >= 0"):
+        main(["twin", str(cfg), f"--eps={eps}"])
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_out_of_band_snapshot(tmp_path):
     # n = 16 with kmax = 6 > 16/3: about 1e-2 of the energy lies past the
     # dealias band, and both stepping commands refuse it before a step

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -265,6 +266,22 @@ def test_nonlinear_friedrichs_matches_termwise_cut(grid):
     assert np.abs(n_u - expect).max() <= 1e-12 * np.abs(expect).max()
     ref_q = -advect(grid, ucut, s.q) + corotation(grid, s.q, ucut) + p.gamma * bulk_force(s.q, p, grid)
     assert np.abs(n_q - ref_q).max() <= 1e-12 * np.abs(ref_q).max()
+
+
+def test_nonlinear_on_out_of_band_coefficients_matches_full_transforms(monkeypatch):
+    # unmasked coefficients of an n = 16, kmax = 6 > n/3 state reach past
+    # column n//3; no transform may drop those columns
+    g = Grid(16)
+    rng = np.random.default_rng(17)
+    uh = g.rfft(random_velocity(g, rng, kmax=6))
+    qh = g.rfft(random_qtensor(g, rng, kmax=6))
+    assert uh[..., g.n // 3 + 1:].any() and qh[..., g.n // 3 + 1:].any()
+    p = params()
+    got = nonlinear(g, uh, qh, p)
+    monkeypatch.setattr(Grid, "irfft", lambda self, fh: scipy.fft.irfft2(
+        fh, s=(self.n, self.n), axes=(-2, -1), workers=self.workers))
+    for a, b in zip(got, nonlinear(g, uh, qh, p)):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("n, length", [(32, 2 * np.pi), (64, 3.7)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qflow import dyadic, timestepping
+from qflow import dyadic, spectral, timestepping
 from qflow.dyadic import DyadicPartition
 from qflow.qtensor import ModelParams, State, random_qtensor
 from qflow.spectral import Grid, random_velocity
@@ -314,6 +314,20 @@ def test_step_and_probe_plane_budget(monkeypatch, n_cutoff):
     assert per_step(lambda tc: twin_run(g, s, twin, p, tc)) == (48, 92)
     w = part.sobolev_weight(-0.5)
     assert planes(timestepping._twin_probes, g, w, (uh, qh), (uh, 2.0 * qh), p) == (0, 0)
+
+
+@pytest.mark.parametrize("n_cutoff", [None, 4])
+def test_stepping_path_takes_only_pruned_inverse_transforms(monkeypatch, n_cutoff):
+    # in-band data keeps every c2r input's columns past n//3 zero, so no
+    # inverse transform of a run or twin run falls back to irfft2
+    g = Grid(16)
+    s = smooth_state(g, kmax=4)
+    p = params(n_cutoff=n_cutoff)
+    monkeypatch.setattr(spectral.scipy.fft, "irfft2",
+                        lambda *a, **kw: pytest.fail("full inverse transform"))
+    tc = TimeConfig(dt=1e-3, t_end=3e-3)
+    run(g, s, p, tc, hs_probes=(0.5,))
+    twin_run(g, s, Perturbation(0.0), p, tc)  # eps > 0 draws its fields by full transforms
 
 
 @pytest.mark.parametrize("n, length", [(16, 3.7), (32, 1.0)])
