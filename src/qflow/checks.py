@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import NormSpec, commutator, product_estimate_sample, shared_partition
+from .dyadic import NormSpec, SymDecompContext, commutator, product_estimate_sample, shared_partition
 from .qtensor import (
     ModelParams,
     State,
@@ -211,16 +211,12 @@ def bony_check(grid: Grid, trials: int = 100, seed: int = 0,
 
 def sym_decomp_check(grid: Grid, trials: int = 100, seed: int = 0,
                      tolerance: float = 1e-10) -> Report:
-    """Per-block reconstruction block_q(AB) = J1 + J2 + J3 + J4 on matrix pairs."""
-    from .dyadic import SymDecompContext
-
+    """Per-block reconstruction block_q(AB) = J1 + J2 + J3 + J4 on S0 pairs."""
     part = shared_partition(grid)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        a = np.moveaxis(q_to_mat(random_qtensor(grid, rng)), (0, 1), (2, 3))
-        b = np.moveaxis(q_to_mat(random_qtensor(grid, rng)), (0, 1), (2, 3))
-        ctx = SymDecompContext(part, a, b)
+        ctx = SymDecompContext(part, random_qtensor(grid, rng), random_qtensor(grid, rng))
         for q in part.qs:
             lhs = ctx.block_product(q)
             den = np.abs(lhs).max()
@@ -228,6 +224,7 @@ def sym_decomp_check(grid: Grid, trials: int = 100, seed: int = 0,
                 continue
             resid = np.abs(sum(ctx.terms(q)) - lhs).max() / den
             worst = max(worst, resid)
+        del ctx  # free this pair's planes before the next pair is built
     return Report(
         "sym_decomp_reconstruction", worst <= tolerance, tolerance,
         measured={"worst_rel": worst}, inputs=f"trials={trials} seed={seed} n={grid.n}",

@@ -2,7 +2,7 @@
 
 Dyadic blocks, low-pass partial sums, Besov/Sobolev norms and inner
 products, the Bony paraproduct splitting and the four-term symmetric
-decomposition of a matrix product per block.
+decomposition per block of the product of two S0 fields.
 
 The radial cutoff chi equals 1 on |xi| <= 3/4, vanishes on |xi| >= 1 and
 interpolates with the canonical smooth bump g((1-r)*4), where
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .qtensor import S0_BASIS
 from .spectral import Grid, random_scalar
 
 
@@ -163,28 +164,6 @@ class DyadicPartition:
             out[q] = acc
         return out
 
-    # -- symmetric four-term decomposition --------------------------------------
-
-    def sym_decomp(
-        self, a: np.ndarray, b: np.ndarray, q: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Four-term splitting of block_q(A B) for matrix fields (3, 3, n, n).
-
-        Returns (J1, J2, J3, J4) with
-
-            J1 = sum_{|q-q'|<=5} [block_q, S_{q'-1}A] block_{q'} B
-            J2 = sum_{|q-q'|<=5} (S_{q'-1}A - S_{q-1}A) block_q block_{q'} B
-            J3 = S_{q-1}A block_q B
-            J4 = sum_{q'>=q-5} block_q(block_{q'}A S_{q'+2} B)
-
-        whose sum equals block_q(AB) exactly on the lattice for mean-zero
-        A and B (window terms whose multiplier supports are disjoint
-        vanish identically and are skipped).
-        """
-        self.require_q(q)
-        ctx = SymDecompContext(self, a, b)
-        return ctx.terms(q)
-
 
 def shared_partition(grid: Grid) -> DyadicPartition:
     """One DyadicPartition per (n, length, FFT workers), shared with its weight tables."""
@@ -197,72 +176,96 @@ def _partition(grid: Grid, workers: int) -> DyadicPartition:
 
 
 class SymDecompContext:
-    """What terms(q) and block_product(q) read for one matrix-field pair.
+    """J1..J4 and block_q(AB) for one pair of S0 fields A, B.
 
-    The spectra of B and AB, the blocks of B, the prefix sums of A, and the
-    J1/J4 sums over each distinct window of q' (in ascending q').  terms(q)
-    keeps block_q block_{q+1} B for terms(q+1), so each pair is transformed once.
+    A and B are coefficient planes (5, n, n) in the basis `qtensor.S0_BASIS`.
+    For mean-zero A and B the four terms
+
+        J1 = sum_{|q-q'|<=5} [block_q, S_{q'-1}A] block_{q'} B
+        J2 = sum_{|q-q'|<=5} (S_{q'-1}A - S_{q-1}A) block_q block_{q'} B
+        J3 = S_{q-1}A block_q B
+        J4 = sum_{q'>=q-5} block_q(block_{q'}A S_{q'+2} B)
+
+    sum to block_q(AB) exactly on the lattice (q' runs over the resolved band).
+    Linear quantities stay in 5 planes, expanded to dense 3x3 once per product
+    operand; products and terms are (3, 3, n, n), as AB is not S0.  Each J1 and
+    J4 window sum is transformed once; terms(q) keeps block_q block_{q+1} B.
     """
 
     def __init__(self, part: DyadicPartition, a: np.ndarray, b: np.ndarray):
-        if a.ndim != 4 or b.ndim != 4:
-            raise ValueError("matrix fields of shape (m, m, n, n) expected")
-        g = part.grid
+        if any(f.ndim != 3 or f.shape[0] != 5 for f in (a, b)):
+            raise ValueError(f"S0 planes (5, n, n) expected, got {a.shape} and {b.shape}")
+        g = self.grid = part.grid
         self.part = part
-        self.grid = g
-        a = g.zero_mean(a)
-        b = g.zero_mean(b)
-        ah = g.rfft(a)
-        self.bh = g.rfft(b)
-        self.ab_hat = g.rfft(_mul(a, b))
+        a, b = g.zero_mean(a), g.zero_mean(b)
+        ah, self.bh = g.rfft(a), g.rfft(b)
+        self.ab_hat = g.rfft(_matmul(_dense(a), _dense(b)))
         block_a = {q: g.irfft(part.phi[q] * ah) for q in part.qs}
-        self.block_b = {q: g.irfft(part.phi[q] * self.bh) for q in part.qs}
-        self.sa = part._prefix_sums(block_a)
-        sb = part._prefix_sums(self.block_b)
-        # transforms of S_{q'-1}A block_{q'}B and block_{q'}A S_{q'+2}B, per q'
-        p_hat = {q: g.rfft(_mul(self.sa[q - 2], self.block_b[q])) for q in part.qs}
-        r_hat = {q: g.rfft(_mul(block_a[q], sb[q + 1])) for q in part.qs}
-        # J1 sums q' over [q-5, q+5], J4 over q' >= q-5, clipped to the band
-        self.psum: dict[tuple[int, int], np.ndarray] = {}
-        self.rsum: dict[int, np.ndarray] = {}
+        block_b = {q: g.irfft(part.phi[q] * self.bh) for q in part.qs}
+        # a J1 window [lo, hi] and a J4 start lo read the running sums over
+        # ascending q' only at hi, at lo - 1 and at q_max (always some hi)
+        self.window = {q: (max(q - 5, part.q_min), min(q + 5, part.q_max)) for q in part.qs}
+        windows = set(self.window.values())
+        ends = {hi for _, hi in windows} | {lo - 1 for lo, _ in windows}
+        at = {part.q_min - 1: (0.0, 0.0)}
+        self.low_a, self.j3 = {}, {}  # S_{q-1}A dense; J3, also the J1 summand at q' = q
+        sa, sb = np.zeros_like(a), block_b[part.q_min]
+        low = np.zeros((3, 3) + a.shape[1:])
+        sum_p = sum_r = 0.0
         for q in part.qs:
-            lo, hi = max(q - 5, part.q_min), min(q + 5, part.q_max)
-            if (lo, hi) not in self.psum:
-                self.psum[lo, hi] = sum(p_hat[qp] for qp in range(lo, hi + 1))
-            if lo not in self.rsum:
-                self.rsum[lo] = sum(r_hat[qp] for qp in range(lo, part.q_max + 1))
+            if q >= part.q_min + 2:
+                sa = sa + block_a[q - 2]
+                low = _dense(sa)
+            if q < part.q_max:  # S_{q+2}B sums the blocks up to q + 1
+                sb = sb + block_b[q + 1]
+                high = _dense(sb)
+            self.low_a[q] = low
+            self.j3[q] = p = _matmul(low, _dense(block_b[q]))
+            sum_p = sum_p + p
+            sum_r = sum_r + _matmul(_dense(block_a[q]), high)
+            if q in ends:
+                at[q] = sum_p, sum_r
+        del block_a, block_b, sa, sb, sum_p, sum_r
+        self.w1 = {(lo, hi): g.rfft(at[hi][0] - at[lo - 1][0]) for lo, hi in windows}
+        self.w4 = {lo: g.rfft(at[part.q_max][1] - at[lo - 1][1]) for lo in {w[0] for w in windows}}
         self._pair: dict[tuple[int, int], np.ndarray] = {}
 
     def terms(self, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         part, g = self.part, self.grid
-        lo, hi = max(q - 5, part.q_min), min(q + 5, part.q_max)
-        j1 = g.irfft(part.phi[q] * self.psum[lo, hi])
-        j2 = np.zeros_like(j1)
+        lo, hi = self.window[q]
+        j1 = g.irfft(part.phi[q] * self.w1[lo, hi])
+        j4 = g.irfft(part.phi[q] * self.w4[lo])
         held, self._pair = self._pair, {}
+        # with m_{q'} = S_{q'-1}A block_q block_{q'} B, J1 subtracts every m_{q'} and
+        # J2 = sum_{q' != q} m_{q'} - S_{q-1}A sum_{q' != q} block_q block_{q'} B;
         # block_q block_q' vanishes for |q - q'| > 1
+        m_off = dd_off = 0.0
         for qp in range(max(q - 1, part.q_min), min(q + 1, part.q_max) + 1):
             dd = held.get((qp, q))
             if dd is None:
                 dd = g.irfft(part.phi[q] * part.phi[qp] * self.bh)
             if qp > q:
                 self._pair[q, qp] = dd
-            j1 -= _mul(self.sa[qp - 2], dd)
-            if qp != q:  # the J2 factor S_{q'-1}A - S_{q-1}A is zero at q' = q
-                j2 += _mul(self.sa[qp - 2] - self.sa[q - 2], dd)
-        j3 = _mul(self.sa[q - 2], self.block_b[q])
-        j4 = g.irfft(part.phi[q] * self.rsum[lo])
-        return j1, j2, j3, j4
+            m = _matmul(self.low_a[qp], _dense(dd))
+            j1 -= m
+            if qp != q:
+                m_off, dd_off = m_off + m, dd_off + dd
+        j2 = m_off - _matmul(self.low_a[q], _dense(dd_off))
+        return j1, j2, self.j3[q], j4
 
     def block_product(self, q: int) -> np.ndarray:
         """block_q(AB), the left-hand side of the reconstruction identity."""
         return self.grid.irfft(self.part.phi[q] * self.ab_hat)
 
 
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pointwise product; matrix product over the two leading axes if present."""
-    if x.ndim == 4 and y.ndim == 4:
-        return np.einsum("ik...,kj...->ij...", x, y)
-    return x * y
+def _dense(x: np.ndarray) -> np.ndarray:
+    """Expand S0 planes (5, n, n) to matrix entries (3, 3, n, n) by one fixed (9, 5) GEMM."""
+    return (S0_BASIS.reshape(5, 9).T @ x.reshape(5, -1)).reshape((3, 3) + x.shape[1:])
+
+
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pointwise matrix product over the two leading axes."""
+    return np.einsum("ik...,kj...->ij...", x, y)
 
 
 def _lr_norm(part: DyadicPartition, fh: np.ndarray, spec: NormSpec,
@@ -280,7 +283,7 @@ def _lr_norm(part: DyadicPartition, fh: np.ndarray, spec: NormSpec,
 def commutator(
     part: DyadicPartition, a: np.ndarray, f: np.ndarray, q: int, qp: int
 ) -> np.ndarray:
-    """[block_q, S_{qp-1}A] block_{qp} f for |q - qp| <= 5."""
+    """[block_q, S_{qp-1}a] block_{qp} f for scalar fields a, f and |q - qp| <= 5."""
     if abs(q - qp) > 5:
         raise ValueError(f"commutator indices must satisfy |q - qp| <= 5, got {q}, {qp}")
     part.require_q(q)
@@ -288,8 +291,8 @@ def commutator(
     g = part.grid
     sa = g.irfft(part.lowpass_multiplier(qp - 1) * g.rfft(g.zero_mean(a)))
     fh = g.rfft(f)
-    first = g.irfft(part.phi[q] * g.rfft(_mul(sa, g.irfft(part.phi[qp] * fh))))
-    second = _mul(sa, g.irfft(part.phi[q] * part.phi[qp] * fh))
+    first = g.irfft(part.phi[q] * g.rfft(sa * g.irfft(part.phi[qp] * fh)))
+    second = sa * g.irfft(part.phi[q] * part.phi[qp] * fh)
     return first - second
 
 
