@@ -7,6 +7,7 @@ aborted) and zero otherwise.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import sys
 from pathlib import Path
@@ -21,6 +22,30 @@ from .timestepping import BandError, BlowUpError, Perturbation, Trajectory, run,
 
 #: Parameter set used by the stateless `check` ensembles that need one.
 CHECK_PARAMS = ModelParams(a=-0.3, b=1.0, c=1.0, gamma=1.0, nu=1.0, L=1.0)
+
+#: glibc's 64-bit ceiling for its dynamic mmap threshold: step-sized arrays come from the heap.
+M_MMAP_THRESHOLD, MMAP_THRESHOLD = -3, 32 << 20
+#: Freed heap top stays mapped for the next step instead of being faulted in again.
+M_TRIM_THRESHOLD, TRIM_THRESHOLD = -1, 256 << 20
+
+
+def _set_heap_policy() -> None:
+    """Keep the short-lived arrays of every step and trial on glibc's heap.
+
+    A process policy, so only the command line sets it; importing qflow
+    leaves the caller's allocator alone.  The trim threshold is set only
+    once the mmap threshold is: setting it alone switches off glibc's
+    dynamic mmap threshold, and then every array of 128 KiB or more is
+    mmapped again.  Without glibc's mallopt this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1:
+        mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def _load_config(path: str) -> RunConfig:
@@ -226,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _set_heap_policy()
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -4,6 +4,7 @@ plus the initial-condition presets."""
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,11 @@ _REQUIRED: tuple[tuple[str, str], ...] = (
 )
 
 PRESETS = ("taylor_green", "uniaxial_wave", "random_spectrum")
+
+#: Most steps a fixed-dt run may take, t_end / dt, so that every accepted run ends.
+MAX_STEPS = 10**8
+#: Largest grid n: one (n, n) float plane is then 32 GiB, past any desk machine.
+MAX_N = 2**16
 
 
 @dataclass
@@ -112,9 +118,10 @@ def parse_config(text: str) -> RunConfig:
 
     n = _get(entries, "grid", "n", int)
     length = _get(entries, "grid", "len", _finite, 2.0 * math.pi)
-    if n < 8 or (n & (n - 1)) != 0:
+    if not 8 <= n <= MAX_N or (n & (n - 1)) != 0:
         lineno = entries[("grid", "n")][1]
-        raise ConfigError(f"line {lineno}: grid n must be a power of two >= 8, got {n}")
+        raise ConfigError(f"line {lineno}: grid n must be a power of two in [8, {MAX_N}], "
+                          f"got {n}")
     if not length > 0:
         lineno = entries[("grid", "len")][1]
         raise ConfigError(f"line {lineno}: grid len must be positive")
@@ -124,7 +131,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         params = ModelParams(n_cutoff=n_cutoff, **kwargs)
     except ValueError as err:
-        raise ConfigError(f"section [params]: {err}")
+        raise _refused(entries, "params", err)
 
     dt = _get(entries, "time", "dt", str, "auto")
     if dt != "auto":
@@ -137,7 +144,11 @@ def parse_config(text: str) -> RunConfig:
             scheme=_get(entries, "time", "scheme", str, "if-rk2"),
         )
     except ValueError as err:
-        raise ConfigError(f"section [time]: {err}")
+        raise _refused(entries, "time", err)
+    if tc.dt != "auto" and tc.t_end / tc.dt > MAX_STEPS:
+        lineno = entries[("time", "t_end" if ("time", "t_end") in entries else "dt")][1]
+        raise ConfigError(f"line {lineno}: [time] t_end / dt = {tc.t_end / tc.dt:.4g} steps "
+                          f"exceeds the limit of {MAX_STEPS:.0e}")
 
     preset = _get(entries, "init", "preset", str, "random_spectrum")
     if preset not in PRESETS:
@@ -182,6 +193,16 @@ def parse_config(text: str) -> RunConfig:
         snapshot_stride=stride,
         hs_probes=tuple(hs),
     )
+
+
+def _refused(entries, section: str, err: ValueError) -> ConfigError:
+    """The ConfigError for a value that section's dataclass refused, naming
+    the line of the first of the section's keys in err's message."""
+    named = [(match.start(), lineno) for (sec, key), (_, lineno) in entries.items()
+             if sec == section and (match := re.search(rf"\b{key}\b", str(err)))]
+    if not named:
+        return ConfigError(f"section [{section}]: {err}")
+    return ConfigError(f"line {min(named)[1]}: [{section}] {err}")
 
 
 def _check_band(entries, n: int, kmin: float, kmax: float) -> None:

@@ -1,16 +1,23 @@
 import csv
+import ctypes
 import math
 import os
+import platform
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qflow import dyadic
+from qflow import cli, config, dyadic
 from qflow.cli import main
-from qflow.config import ConfigError, build_initial_state, parse_config, taylor_green, uniaxial_wave
+from qflow.config import (MAX_STEPS, ConfigError, build_initial_state, parse_config, taylor_green,
+                          uniaxial_wave)
 from qflow.dyadic import DyadicPartition
 from qflow.qtensor import ModelParams, State
 from qflow.snapshots import SnapshotError, emit_series, read_series, read_snapshot, write_snapshot
@@ -97,6 +104,10 @@ def test_config_rejects_duplicate_and_missing():
 def test_config_rejects_bad_grid():
     with pytest.raises(ConfigError, match="power of two"):
         parse_config(MINIMAL.replace("n = 32", "n = 33"))
+    # n / 3 of a 1101-bit n used to overflow a float: OverflowError, not ConfigError
+    for n in (2**17, 2**1100):
+        with pytest.raises(ConfigError, match=r"line 3: grid n must be a power of two in \[8, 65536\]"):
+            parse_config(MINIMAL.replace("n = 32", f"n = {n}"))
 
 
 def test_config_probe_parsing():
@@ -360,6 +371,95 @@ def test_config_rejects_non_finite_values(tmp_path, old, new):
         parse_config(text)
 
 
+def test_config_rejects_run_without_end(tmp_path):
+    # t_end = 1e300 with a fixed dt used to pass, and the run went on until killed
+    text = full_config(tmp_path / "out")
+    k = text.splitlines().index("t_end = 0.05") + 1
+    with pytest.raises(ConfigError, match=rf"line {k}: .*t_end / dt = 2e\+302 steps exceeds"):
+        parse_config(text.replace("t_end = 0.05", "t_end = 1e300"))
+    # without a t_end line (default 1.0) the error names the dt line
+    text = text.replace("t_end = 0.05\n", "").replace("dt = 0.005", "dt = 1e-9")
+    k = text.splitlines().index("dt = 1e-9") + 1
+    with pytest.raises(ConfigError, match=rf"line {k}: .*t_end / dt = 1e\+09 steps exceeds"):
+        parse_config(text)
+    assert parse_config(text.replace("dt = 1e-9", f"dt = {1 / MAX_STEPS!r}")).time.dt == 1e-8
+    assert parse_config(text.replace("dt = 1e-9", "dt = auto")).time.dt == "auto"
+
+
+@pytest.mark.parametrize("old, new, pattern", [
+    ("c = 1.0", "c = -2.0", "c must be positive"),
+    ("nu = 0.25", "nu = 0", "nu must be positive"),
+    ("L = 0.4", "L = 0.4\nn_cutoff = 0", "n_cutoff must be >= 1"),
+    ("dt = 0.005", "dt = -0.1", "dt must be positive"),
+    ("t_end = 0.05", "t_end = 0.05\ncfl = 1.5", "cfl must lie in"),
+    ("t_end = 0.05", "t_end = -1", "t_end must be >= 0"),
+    ("t_end = 0.05", "t_end = 0.05\nscheme = dt", "unknown scheme 'dt'"),
+])
+def test_config_value_refusals_name_their_line(tmp_path, old, new, pattern):
+    # the [params] and [time] refusals used to name only their section
+    text = full_config(tmp_path / "out").replace(old, new)
+    k = text.splitlines().index(new.splitlines()[-1]) + 1
+    with pytest.raises(ConfigError, match=rf"^line {k}: .*{pattern}"):
+        parse_config(text)
+
+
+_VALID = {
+    "grid": {"n": "16", "len": "6.28"},
+    "params": {"a": "-0.2", "b": "0.8", "c": "1.0", "gamma": "0.8", "nu": "0.25", "L": "0.4"},
+    "time": {"dt": "0.01", "t_end": "0.05"},
+    "init": {"preset": "random_spectrum", "seed": "1", "kmax": "4"},
+    "output": {"dir": "out", "probes": "hs:0.5"},
+}
+_KEYS = sorted((section, key) for section, keys in config._SCHEMA.items() for key in keys)
+_ODD_VALUES = ["", "nan", "-nan", "inf", "+inf", "-inf", "0", "-0", "-1", "-1e-300", "5e-324",
+               "1e-300", "1e300", "1e308", "1e400", str(2**64), str(2**1100), "1" + "0" * 30,
+               "auto", "abc", "1,2", "hs:", "hs:nan", "hs:1e400", "hs:-2, hs:x", "0x10", "1_0",
+               "random_spectrum", "taylor_green", "uniaxial_wave", "if-rk2", "=", "[time]"]
+_VALUES = st.one_of(
+    st.sampled_from(_ODD_VALUES),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10**30, 10**30).map(str),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=12),
+)
+
+
+@st.composite
+def config_texts(draw):
+    """A valid config with some keys replaced by odd values, some dropped,
+    and maybe one garbage line."""
+    entries = {(section, key): value for section, keys in _VALID.items()
+               for key, value in keys.items()}
+    for key in draw(st.sets(st.sampled_from(sorted(entries)), max_size=2)):
+        del entries[key]
+    entries.update(draw(st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=5)))
+    lines = []
+    for section in config._SCHEMA:
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {value}" for (sec, key), value in entries.items() if sec == section]
+    garbage = draw(st.none() | st.text(st.characters(blacklist_categories=("Cs",)), max_size=20))
+    if garbage is not None:
+        lines.insert(draw(st.integers(0, len(lines))), garbage)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(config_texts())
+def test_parse_config_fuzz(text):
+    # a config either parses into a run that ends, or is refused with a
+    # ConfigError that names a line (or the section of a missing key)
+    try:
+        cfg = parse_config(text)
+    except ConfigError as err:
+        msg = str(err)
+        line = re.match(r"line (\d+): ", msg)
+        assert line or re.fullmatch(r"missing required key '\w+' in section \[\w+\]", msg), msg
+        if line:
+            assert 1 <= int(line.group(1)) <= len(text.splitlines())
+        return
+    if cfg.time.dt != "auto":
+        assert cfg.time.t_end / cfg.time.dt <= MAX_STEPS
+
+
 @pytest.mark.parametrize("spec", ["0.5,0,2", "nan,2,2", "inf,2,2", "0.5,nan,2", "0.5,2,0.5"])
 def test_cli_norms_rejects_bad_spec(tmp_path, spec):
     g, st = random_state(n=16)
@@ -461,14 +561,71 @@ def test_cli_error_paths(tmp_path):
         main(["simulate", str(bad)])
 
 
-def test_cli_import_graph_skips_scipy_integrate():
-    # every qflow command imports qflow.cli; scipy.integrate would pull in scipy.optimize
+def _fresh_python(code: str) -> str:
+    """The last line that code prints, run in a new interpreter importing qflow from src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_graph_skips_scipy_integrate():
+    # every qflow command imports qflow.cli; scipy.integrate would pull in scipy.optimize
     code = ("import sys, qflow.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
             "(['scipy', 'integrate'], ['scipy', 'optimize'])))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy uses glibc's mallopt")
+def test_cli_heap_policy_stops_refaulting():
+    # A fresh process, so that pytest's own heap cannot hide the result.  After
+    # one warm round, 10 rounds of three 8 MiB arrays took about 10k minor
+    # faults under glibc's default policy (each array a fresh mmap) and none
+    # once the command line has set its policy.
+    code = """
+import resource
+import numpy as np
+import qflow.cli
+
+def churn():
+    arrays = [np.ones(1 << 20) for _ in range(3)]
+    del arrays
+
+qflow.cli.main(["check", "partition", "--n", "16", "--trials", "1"])
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    assert int(_fresh_python(code)) < 100
+
+
+def test_cli_heap_policy_order_and_fallback(monkeypatch):
+    calls = []
+
+    def libc(accepts):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return int(accepts)
+        return lambda name: types.SimpleNamespace(mallopt=mallopt)
+
+    argv = ["check", "partition", "--n", "16", "--trials", "1"]
+    monkeypatch.setattr(ctypes, "CDLL", libc(True))
+    assert main(argv) == 0
+    assert calls == [(cli.M_MMAP_THRESHOLD, 32 << 20), (cli.M_TRIM_THRESHOLD, 256 << 20)]
+    # a refused mmap threshold leaves the trim threshold unset: alone, it
+    # would switch off glibc's dynamic mmap threshold
+    calls.clear()
+    monkeypatch.setattr(ctypes, "CDLL", libc(False))
+    assert main(argv) == 0
+    assert calls == [(cli.M_MMAP_THRESHOLD, 32 << 20)]
+    # no glibc, or a libc without mallopt: nothing is set and the command runs
+    for error in (OSError, AttributeError):
+        def unavailable(name, error=error):
+            raise error(name)
+        monkeypatch.setattr(ctypes, "CDLL", unavailable)
+        assert main(argv) == 0
