@@ -1,11 +1,11 @@
 """Verification harness: identity and a-priori-estimate checks on numerical
 data, with least-squares-fitted constants frozen as regression baselines.
 
-Every check returns a Report that is deterministic given (seed, config,
-tolerance).  Ratio checks guard denominators below 1e-30 and report a
-vacuous pass.  Fitted constants for the non-explicit estimates are
-measured once at a reference resolution (see BASELINES) and reruns are
-guarded against drifting above them.
+Every check returns a Report that is deterministic given (seed, config),
+judged by the one table of tolerances below (BASELINES, SLACK, TOLERANCES).
+Ratio checks guard denominators below 1e-30 and report a vacuous pass.
+Fitted constants for the non-explicit estimates are measured once at a
+reference resolution and reruns are guarded against drifting above them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ DENOM_FLOOR = 1e-30
 
 #: Fitted constants measured once at the reference resolution (n=128,
 #: trials=100, envelope over seeds 0..2) and frozen; reruns act as
-#: regression guards and must stay within 10% of these bounds.
+#: regression guards and must stay within SLACK (10%) of these bounds.
 BASELINES: dict[str, dict[str, float]] = {
     "commutator_estimate": {"C": 1.05, "n": 128, "trials": 100},
     "neg_index_equiv": {"c": 0.95, "C": 1.00, "n": 128, "trials": 100},
@@ -42,6 +42,18 @@ BASELINES: dict[str, dict[str, float]] = {
     "force_estimate_s0p25": {"ratio": 5.0e-06, "n": 128, "trials": 100},
     "force_estimate_s0p5": {"ratio": 5.0e-06, "n": 128, "trials": 100},
 }
+#: The 10% slack: a fitted constant passes up to SLACK times its baseline.
+SLACK = 1.1
+#: Relative tolerances of the exact identities, keyed by `qflow check` name.
+TOLERANCES: dict[str, float] = {"partition": 1e-12, "bony": 1e-10, "sym_decomp": 1e-10,
+                                "cancellation": 1e-8, "transport": 1e-10}
+#: Largest relative spread of the product-law maxima across seeds.
+DRIFT_TOL = 0.05
+#: The energy residual is measured past T_SKIP (the startup layer of unprepared
+#: data has no asymptotic rate) and must converge at ORDER_TOL under dt halving.
+T_SKIP, ORDER_TOL = 0.1, 1.9
+#: A contraction functional Phi at or below this is zero (identical-data twins).
+ZERO_FLOOR = 1e-28
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -54,14 +66,12 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def _baseline(key: str, field_name: str, grid: Grid, override: float | None) -> float | None:
+def _baseline(key: str, field_name: str, grid: Grid) -> float | None:
     """Regression bound for a fitted constant, if one applies.
 
-    An explicit override always binds; a stored baseline binds only at its
-    recorded resolution (the fitted ratios drift with n).
+    A stored baseline binds only at its recorded resolution (the fitted
+    ratios drift with n).
     """
-    if override is not None:
-        return override
     entry = BASELINES.get(key)
     if entry is not None and entry.get("n") == grid.n:
         return entry[field_name]
@@ -96,11 +106,27 @@ class Report:
         return out
 
 
+def _worst(name: str, check: str, worst: float, grid: Grid, trials: int, seed: int) -> Report:
+    """Verdict of an identity ensemble: its worst relative residual against TOLERANCES[check]."""
+    tol = TOLERANCES[check]
+    return Report(name, worst <= tol, tol, measured={"worst_rel": worst},
+                  inputs=f"trials={trials} seed={seed} n={grid.n}")
+
+
+def _fitted(name: str, key: str, field_name: str, value: float, grid: Grid, inputs: str,
+            vacuous: bool = False) -> Report:
+    """Verdict of a fitted constant: finite, and within SLACK of BASELINES[key] where it binds."""
+    base = _baseline(key, field_name, grid)
+    ok = vacuous or (math.isfinite(value) and (base is None or value <= SLACK * base))
+    note = "vacuous" if vacuous else ("" if base is not None else "no baseline at this resolution")
+    return Report(name, ok, SLACK * (base or 0.0), fitted={field_name: value},
+                  inputs=inputs, note=note)
+
+
 # -- pointwise/bilinear identity checks -------------------------------------------
 
 
-def cancellation_check(grid: Grid, q1: np.ndarray, q2: np.ndarray, u: np.ndarray,
-                       tolerance: float = 1e-8) -> Report:
+def cancellation_check(grid: Grid, q1: np.ndarray, q2: np.ndarray, u: np.ndarray) -> Report:
     """Commutator cancellation joining the corotation and stress pairings.
 
         int tr{(Omega Q2 - Q2 Omega) lap Q1} + int tr{(lap Q1 Q2 - Q2 lap Q1) grad u} = 0
@@ -117,14 +143,14 @@ def cancellation_check(grid: Grid, q1: np.ndarray, q2: np.ndarray, u: np.ndarray
     t2 = grid.integral(np.trace((lap1 @ m2 - m2 @ lap1) @ g3, axis1=-2, axis2=-1))
     scale = abs(t1) + abs(t2) + DENOM_FLOOR
     total = abs(t1 + t2)
+    tol = TOLERANCES["cancellation"]
     return Report(
-        "cancellation", total <= tolerance * scale, tolerance,
+        "cancellation", total <= tol * scale, tol,
         measured={"term1": t1, "term2": t2, "sum_rel": total / scale},
     )
 
 
-def cancellation_ensemble(grid: Grid, trials: int = 1000, seed: int = 0,
-                          tolerance: float = 1e-8) -> Report:
+def cancellation_ensemble(grid: Grid, trials: int = 1000, seed: int = 0) -> Report:
     """cancellation_check over seeded random (Q1, Q2, u) triples."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -132,16 +158,12 @@ def cancellation_ensemble(grid: Grid, trials: int = 1000, seed: int = 0,
         q1 = random_qtensor(grid, rng)
         q2 = random_qtensor(grid, rng)
         u = random_velocity(grid, rng)
-        rep = cancellation_check(grid, q1, q2, u, tolerance)
+        rep = cancellation_check(grid, q1, q2, u)
         worst = max(worst, rep.measured["sum_rel"])
-    return Report(
-        "cancellation_ensemble", worst <= tolerance, tolerance,
-        measured={"worst_rel": worst}, inputs=f"trials={trials} seed={seed} n={grid.n}",
-    )
+    return _worst("cancellation_ensemble", "cancellation", worst, grid, trials, seed)
 
 
-def transport_cancellation_check(grid: Grid, trials: int = 100, seed: int = 0,
-                                 tolerance: float = 1e-10) -> Report:
+def transport_cancellation_check(grid: Grid, trials: int = 100, seed: int = 0) -> Report:
     """Quadrature cancellations <u.grad u, u> = <u.grad Q, Q> = <[Omega,Q], Q> = 0.
 
     Band-limited samples keep the triple products alias-free, so the
@@ -166,31 +188,28 @@ def transport_cancellation_check(grid: Grid, trials: int = 100, seed: int = 0,
         r2 = abs(grid.inner(adv_q, q)) / (grid.norm_l2(adv_q) * grid.norm_l2(q) + DENOM_FLOOR)
         r3 = abs(grid.integral(coro)) / (comm_l2 * grid.norm_l2(q) + DENOM_FLOOR)
         worst = max(worst, r1, r2, r3)
-    return Report(
-        "transport_cancellation", worst <= tolerance, tolerance,
-        measured={"worst_rel": worst}, inputs=f"trials={trials} seed={seed} n={grid.n}",
-    )
+    return _worst("transport_cancellation", "transport", worst, grid, trials, seed)
 
 
 # -- Littlewood-Paley machinery checks ---------------------------------------------
 
 
-def partition_unity_check(grid: Grid, tolerance: float = 1e-12) -> Report:
+def partition_unity_check(grid: Grid) -> Report:
     """max over nonzero lattice modes of |sum_q phi_q(k) - 1|."""
     part = shared_partition(grid)
     total = sum(part.phi[q] for q in part.qs)
     nz = grid.kmag > 0
     dev = float(np.abs(total[nz] - 1.0).max())
     dev0 = float(abs(total[~nz]).max())
+    tol = TOLERANCES["partition"]
     return Report(
-        "partition_unity", dev <= tolerance and dev0 <= tolerance, tolerance,
+        "partition_unity", dev <= tol and dev0 <= tol, tol,
         measured={"max_dev": dev, "zero_mode": dev0},
         inputs=f"n={grid.n} q=[{part.q_min},{part.q_max}]",
     )
 
 
-def bony_check(grid: Grid, trials: int = 100, seed: int = 0,
-               tolerance: float = 1e-10) -> Report:
+def bony_check(grid: Grid, trials: int = 100, seed: int = 0) -> Report:
     """Paraproduct reconstruction f*g = T_f g + T_g f + R + mean terms."""
     part = shared_partition(grid)
     rng = np.random.default_rng(seed)
@@ -203,14 +222,10 @@ def bony_check(grid: Grid, trials: int = 100, seed: int = 0,
         recon = tfg + tgf + rem + fbar * g + gbar * f - fbar * gbar
         err = np.abs(recon - f * g).max() / (np.abs(f * g).max() + DENOM_FLOOR)
         worst = max(worst, err)
-    return Report(
-        "bony_reconstruction", worst <= tolerance, tolerance,
-        measured={"worst_rel": worst}, inputs=f"trials={trials} seed={seed} n={grid.n}",
-    )
+    return _worst("bony_reconstruction", "bony", worst, grid, trials, seed)
 
 
-def sym_decomp_check(grid: Grid, trials: int = 100, seed: int = 0,
-                     tolerance: float = 1e-10) -> Report:
+def sym_decomp_check(grid: Grid, trials: int = 100, seed: int = 0) -> Report:
     """Per-block reconstruction block_q(AB) = J1 + J2 + J3 + J4 on S0 pairs."""
     part = shared_partition(grid)
     rng = np.random.default_rng(seed)
@@ -225,14 +240,10 @@ def sym_decomp_check(grid: Grid, trials: int = 100, seed: int = 0,
             resid = np.abs(sum(ctx.terms(q)) - lhs).max() / den
             worst = max(worst, resid)
         del ctx  # free this pair's planes before the next pair is built
-    return Report(
-        "sym_decomp_reconstruction", worst <= tolerance, tolerance,
-        measured={"worst_rel": worst}, inputs=f"trials={trials} seed={seed} n={grid.n}",
-    )
+    return _worst("sym_decomp_reconstruction", "sym_decomp", worst, grid, trials, seed)
 
 
-def commutator_estimate_check(grid: Grid, trials: int = 100, seed: int = 0,
-                              baseline: float | None = None) -> Report:
+def commutator_estimate_check(grid: Grid, trials: int = 100, seed: int = 0) -> Report:
     """Fitted C in ||[block_q, S_{q'-1}A] block_q' f|| <= C 2^-q ||S grad A||_inf ||block_q' f||."""
     part = shared_partition(grid)
     rng = np.random.default_rng(seed)
@@ -248,17 +259,11 @@ def commutator_estimate_check(grid: Grid, trials: int = 100, seed: int = 0,
         rhs = 2.0 ** (-q) * grid.norm_lp(sgrada, np.inf) * grid.norm_l2(part.block(f, qp))
         if rhs > DENOM_FLOOR:
             cfit = max(cfit, grid.norm_l2(comm) / rhs)
-    base = _baseline("commutator_estimate", "C", grid, baseline)
-    ok = math.isfinite(cfit) and (base is None or cfit <= 1.1 * base)
-    return Report(
-        "commutator_estimate", ok, 1.1 * (base or 0.0),
-        fitted={"C": cfit}, inputs=f"trials={trials} seed={seed} n={grid.n}",
-        note="" if base is not None else "no baseline at this resolution",
-    )
+    return _fitted("commutator_estimate", "commutator_estimate", "C", cfit, grid,
+                   f"trials={trials} seed={seed} n={grid.n}")
 
 
-def neg_index_check(grid: Grid, s: float = -0.5, trials: int = 100, seed: int = 0,
-                    baseline: tuple[float, float] | None = None) -> Report:
+def neg_index_check(grid: Grid, s: float = -0.5, trials: int = 100, seed: int = 0) -> Report:
     """Ratio band for the lowpass characterization of negative-index norms."""
     from .dyadic import neg_index_equiv
 
@@ -272,37 +277,33 @@ def neg_index_check(grid: Grid, s: float = -0.5, trials: int = 100, seed: int = 
         if ratio is not None:
             ratios.append(ratio)
     lo, hi = float(min(ratios)), float(max(ratios))
-    lo_override, hi_override = (None, None) if baseline is None else baseline
-    clo = _baseline("neg_index_equiv", "c", grid, lo_override)
-    chi = _baseline("neg_index_equiv", "C", grid, hi_override)
+    clo = _baseline("neg_index_equiv", "c", grid)
+    chi = _baseline("neg_index_equiv", "C", grid)
     ok = math.isfinite(lo) and math.isfinite(hi) and lo > 0
     if clo is not None:
-        ok = ok and lo >= clo / 1.1 and hi <= chi * 1.1
+        ok = ok and lo >= clo / SLACK and hi <= chi * SLACK
     return Report(
-        "neg_index_equiv", ok, 1.1, measured={"ratio_min": lo, "ratio_max": hi},
+        "neg_index_equiv", ok, SLACK, measured={"ratio_min": lo, "ratio_max": hi},
         inputs=f"s={s} trials={trials} seed={seed} n={grid.n}",
         note="" if clo is not None else "no baseline at this resolution",
     )
 
 
 def product_law_check(grid: Grid, s: float, t: float, trials: int = 100,
-                      seeds: tuple[int, ...] = (0, 1, 2),
-                      drift_tol: float = 0.05) -> Report:
+                      seeds: tuple[int, ...] = (0, 1, 2)) -> Report:
     """Boundedness and seed-stability of the product-estimate ratio sampler."""
     part = shared_partition(grid)
     maxima = [product_estimate_sample(part, s, t, trials, seed=sd)["max"] for sd in seeds]
     spread = (max(maxima) - min(maxima)) / (sum(maxima) / len(maxima))
-    ok = all(math.isfinite(m) for m in maxima) and spread <= drift_tol
+    ok = all(math.isfinite(m) for m in maxima) and spread <= DRIFT_TOL
     return Report(
-        f"product_law_s{s:g}_t{t:g}", ok, drift_tol,
+        f"product_law_s{s:g}_t{t:g}", ok, DRIFT_TOL,
         measured={"max_ratio": max(maxima), "drift": spread},
         inputs=f"trials={trials} seeds={seeds} n={grid.n}",
     )
 
 
-def linf_interp_check(grid: Grid, s: float = 0.5, n_range: range = range(1, 11),
-                      trials: int = 100, seed: int = 0,
-                      baseline: float | None = None) -> Report:
+def linf_interp_check(grid: Grid, s: float = 0.5, trials: int = 100, seed: int = 0) -> Report:
     """One fitted C in ||f||_inf <= C(||f||_2 + sqrt(N)||f||_H1 + 2^-Ns ||f||_{H^{1+s}})."""
     part = shared_partition(grid)
     rng = np.random.default_rng(seed)
@@ -314,23 +315,16 @@ def linf_interp_check(grid: Grid, s: float = 0.5, n_range: range = range(1, 11),
         l2 = grid.norm_l2(f)
         h1 = grid.sobolev_multiplier_norm(fh, 1.0, homogeneous=False)
         hs1 = math.sqrt(part.hs_norm2_hat(fh, 1.0 + s))
-        for nn in n_range:
+        for nn in range(1, 11):
             rhs = l2 + math.sqrt(nn) * h1 + 2.0 ** (-nn * s) * hs1
             if rhs > DENOM_FLOOR:
                 cfit = max(cfit, linf / rhs)
-    key = f"linf_interp_s{s:g}".replace(".", "p")
-    base = _baseline(key, "C", grid, baseline)
-    ok = math.isfinite(cfit) and (base is None or cfit <= 1.1 * base)
-    return Report(
-        "linf_interpolation", ok, 1.1 * (base or 0.0), fitted={"C": cfit},
-        inputs=f"s={s} N={n_range.start}..{n_range.stop - 1} trials={trials} seed={seed} n={grid.n}",
-        note="" if base is not None else "no baseline at this resolution",
-    )
+    return _fitted("linf_interpolation", f"linf_interp_s{s:g}".replace(".", "p"), "C", cfit, grid,
+                   f"s={s} N=1..10 trials={trials} seed={seed} n={grid.n}")
 
 
 def force_estimate_check(grid: Grid, p: ModelParams, s: float = 0.5,
-                         trials: int = 100, seed: int = 0,
-                         baseline: float | None = None) -> Report:
+                         trials: int = 100, seed: int = 0) -> Report:
     """Bound <P(Q), lap Q>_{H^s} <= C (1 + ||Q||_H2 + ||Q||_H2^2) ||grad Q||_{H^s}^2."""
     part = shared_partition(grid)
     rng = np.random.default_rng(seed)
@@ -349,14 +343,8 @@ def force_estimate_check(grid: Grid, p: ModelParams, s: float = 0.5,
         if rhs > DENOM_FLOOR:
             vacuous = False
             worst = max(worst, lhs / rhs)
-    key = f"force_estimate_s{s:g}".replace(".", "p")
-    base = _baseline(key, "ratio", grid, baseline)
-    ok = vacuous or (math.isfinite(worst) and (base is None or worst <= 1.1 * base))
-    note = "vacuous" if vacuous else ("" if base is not None else "no baseline at this resolution")
-    return Report(
-        f"force_estimate_s{s:g}", ok, 1.1 * (base or 0.0), fitted={"ratio": worst},
-        inputs=f"s={s} trials={trials} seed={seed} n={grid.n}", note=note,
-    )
+    return _fitted(f"force_estimate_s{s:g}", f"force_estimate_s{s:g}".replace(".", "p"), "ratio",
+                   worst, grid, f"s={s} trials={trials} seed={seed} n={grid.n}", vacuous)
 
 
 # -- trajectory-level checks --------------------------------------------------------
@@ -381,20 +369,19 @@ def energy_residual(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     return t, r
 
 
-def energy_balance_check(trajs: list[Trajectory], t_skip: float = 0.1,
-                         order_tol: float = 1.9) -> Report:
+def energy_balance_check(trajs: list[Trajectory]) -> Report:
     """Convergence of the energy residual under dt refinement.
 
     With one trajectory only the residual magnitude is reported; with a
-    dt-halving sequence the measured order must reach order_tol.  The
-    first t_skip units are excluded: the startup layer of unprepared data
+    dt-halving sequence the measured order must reach ORDER_TOL.  The
+    first T_SKIP units are excluded: the startup layer of unprepared data
     carries unbounded time derivatives and no asymptotic rate.
     """
     maxima = []
     for traj in trajs:
         t, r = energy_residual(traj)
         dt = float(np.median(np.diff(t)))
-        skip = min(t_skip, 0.5 * (t[-1] - t[0]))  # short runs: measure the back half
+        skip = min(T_SKIP, 0.5 * (t[-1] - t[0]))  # short runs: measure the back half
         sel = (t >= t[0] + skip) & (t <= t[-1] - 2 * dt)
         if not sel.any():
             sel = slice(1, -1)
@@ -406,8 +393,8 @@ def energy_balance_check(trajs: list[Trajectory], t_skip: float = 0.1,
     orders = [math.log2(maxima[i] / maxima[i + 1]) for i in range(len(maxima) - 1)]
     for i, o in enumerate(orders):
         measured[f"order_{i}"] = o
-    ok = min(orders) >= order_tol
-    return Report("energy_balance", ok, order_tol, measured=measured)
+    ok = min(orders) >= ORDER_TOL
+    return Report("energy_balance", ok, ORDER_TOL, measured=measured)
 
 
 def lp_bound_check(traj: Trajectory, p_exp: int = 1) -> Report:
@@ -541,7 +528,7 @@ def gronwall_majorant(diff: Trajectory) -> np.ndarray:
     return chi
 
 
-def uniqueness_check(diff: Trajectory, zero_floor: float = 1e-28) -> Report:
+def uniqueness_check(diff: Trajectory) -> Report:
     """Gronwall envelope Phi(t) <= Phi(0) exp(C int chi) with one fitted C.
 
     Identical-data twins report the Phi == 0 branch; perturbed twins fit
@@ -549,10 +536,10 @@ def uniqueness_check(diff: Trajectory, zero_floor: float = 1e-28) -> Report:
     """
     t = diff.times
     phi = diff.series["phi"]
-    if phi[0] <= zero_floor:
-        ok = bool(np.all(phi <= zero_floor))
+    if phi[0] <= ZERO_FLOOR:
+        ok = bool(np.all(phi <= ZERO_FLOOR))
         return Report(
-            "uniqueness_contraction", ok, zero_floor,
+            "uniqueness_contraction", ok, ZERO_FLOOR,
             measured={"phi_max": float(phi.max())}, note="identical data",
         )
     chi = gronwall_majorant(diff)

@@ -176,7 +176,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "neg_index": lambda: checks.neg_index_check(grid, -0.5, trials, seed),
         "product_law": lambda: checks.product_law_check(
             grid, 0.5, 0.5, trials, seeds=(seed, seed + 1, seed + 2)),
-        "linf_interp": lambda: checks.linf_interp_check(grid, 0.5, range(1, 11), trials, seed),
+        "linf_interp": lambda: checks.linf_interp_check(grid, 0.5, trials, seed),
         "force_estimate": lambda: checks.force_estimate_check(
             grid, CHECK_PARAMS, 0.5, trials, seed),
     }

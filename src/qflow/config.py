@@ -35,7 +35,9 @@ _REQUIRED: tuple[tuple[str, str], ...] = (
 
 PRESETS = ("taylor_green", "uniaxial_wave", "random_spectrum")
 
-#: Most steps a fixed-dt run may take, t_end / dt, so that every accepted run ends.
+#: Most steps a run may take, so that every accepted run ends: t_end / dt for a
+#: fixed dt, and for dt = auto t_end over the largest step Stepper.auto_dt can
+#: take, min(cfl * len / n, 1 / (gamma |a|)).
 MAX_STEPS = 10**8
 #: Largest grid n: one (n, n) float plane is then 32 GiB, past any desk machine.
 MAX_N = 2**16
@@ -145,9 +147,19 @@ def parse_config(text: str) -> RunConfig:
         )
     except ValueError as err:
         raise _refused(entries, "time", err)
-    if tc.dt != "auto" and tc.t_end / tc.dt > MAX_STEPS:
-        lineno = entries[("time", "t_end" if ("time", "t_end") in entries else "dt")][1]
-        raise ConfigError(f"line {lineno}: [time] t_end / dt = {tc.t_end / tc.dt:.4g} steps "
+    react = params.gamma * abs(params.a)
+    if tc.dt != "auto":
+        step, ratio, culprits = tc.dt, "t_end / dt", [("time", "t_end"), ("time", "dt")]
+    elif react * tc.cfl * length > n:  # the bulk-reaction cap binds
+        step, ratio = 1.0 / react, "t_end * gamma * |a|"
+        culprits = [("time", "t_end"), ("params", "a"), ("params", "gamma")]
+    else:
+        step, ratio = tc.cfl * length / n, "t_end / (cfl * len / n)"
+        culprits = [("time", "t_end"), ("time", "cfl"), ("grid", "len")]
+    steps = tc.t_end / step if step > 0 else math.inf
+    if tc.t_end > 0 and steps > MAX_STEPS:
+        lineno = next(entries[key][1] for key in culprits if key in entries)
+        raise ConfigError(f"line {lineno}: [time] {ratio} = {steps:.4g} steps "
                           f"exceeds the limit of {MAX_STEPS:.0e}")
 
     preset = _get(entries, "init", "preset", str, "random_spectrum")
@@ -159,6 +171,11 @@ def parse_config(text: str) -> RunConfig:
     kmax = _get(entries, "init", "kmax", _finite)
     if preset == "random_spectrum" and snapshot is None:
         _check_band(entries, n, kmin, n / 4.0 if kmax is None else kmax)
+
+    seed = _get(entries, "init", "seed", int, 0)
+    if seed < 0:
+        lineno = entries[("init", "seed")][1]
+        raise ConfigError(f"line {lineno}: [init] seed must be >= 0, got {seed}")
 
     stride = _get(entries, "output", "snapshot_stride", int, 100)
     if stride < 1:
@@ -183,7 +200,7 @@ def parse_config(text: str) -> RunConfig:
         time=tc,
         preset=preset,
         snapshot=snapshot,
-        seed=_get(entries, "init", "seed", int, 0),
+        seed=seed,
         amplitude_u=_get(entries, "init", "amplitude_u", _finite, 0.5),
         amplitude_q=_get(entries, "init", "amplitude_q", _finite, 0.5),
         kmin=kmin,

@@ -119,11 +119,9 @@ class DyadicPartition:
     def hs_norm2_hat(self, fh: np.ndarray, s: float) -> float:
         return max(self.grid.inner_hat(fh, fh, self.sobolev_weight(s)), 0.0)
 
-    def besov_norm(self, f: np.ndarray, spec: NormSpec, subtract_mean: bool = True) -> float:
-        """Lattice-truncated homogeneous Besov norm."""
-        if subtract_mean:
-            f = self.grid.zero_mean(f)
-        return _lr_norm(self, self.grid.rfft(f), spec, self.phi.get)
+    def besov_norm(self, f: np.ndarray, spec: NormSpec) -> float:
+        """Lattice-truncated homogeneous Besov norm of the mean-zero part of f."""
+        return _lr_norm(self, self.grid.rfft(self.grid.zero_mean(f)), spec, self.phi.get)
 
     # -- Bony paraproduct -------------------------------------------------------
 
@@ -321,16 +319,14 @@ def product_estimate_sample(
     t: float,
     trials: int,
     seed: int = 0,
-    kmax: float | None = None,
-    decay: float = 0.0,
 ) -> dict[str, float]:
     """Ratio statistics for ||ab||_{H^{s+t-1}} / (||a||_{H^s} ||b||_{H^t}).
 
-    Samples seeded band-limited pairs with a fixed power-law envelope and
-    random phases; requires |s| < 1, |t| < 1 and s + t > 0.  The flat-ish
-    default envelope (flat, band up to n/4) keeps the per-sample
-    ratio distribution concentrated, so the max statistic is stable
-    across seeds at the reference resolution (128^2, 100 trials).
+    Samples seeded pairs with random phases under a flat envelope on the
+    band 1 <= |k| <= n/4; requires |s| < 1, |t| < 1 and s + t > 0.  The
+    flat envelope keeps the per-sample ratio distribution concentrated, so
+    the max statistic is stable across seeds at the reference resolution
+    (128^2, 100 trials).
     """
     if not (abs(s) < 1 and abs(t) < 1):
         raise ValueError(f"indices must satisfy |s| < 1 and |t| < 1, got ({s}, {t})")
@@ -342,8 +338,8 @@ def product_estimate_sample(
     rng = np.random.default_rng(seed)
     ratios = np.empty(trials)
     for i in range(trials):
-        a = random_scalar(g, rng, kmax=kmax, decay=decay)
-        b = random_scalar(g, rng, kmax=kmax, decay=decay)
+        a = random_scalar(g, rng, decay=0.0)
+        b = random_scalar(g, rng, decay=0.0)
         na = math.sqrt(part.hs_norm2(a, s))
         nb = math.sqrt(part.hs_norm2(b, t))
         ab = g.zero_mean(a * b)

@@ -29,6 +29,8 @@ from .spectral import Grid
 MAGIC = b"QTNS"
 VERSION = 1
 _HEADER = struct.Struct("<4sHIdd6d")
+#: Largest relative divergence residual of a readable snapshot's velocity.
+DIV_TOL = 1e-8
 
 
 class SnapshotError(IOError):
@@ -46,7 +48,7 @@ def write_snapshot(path: str | Path, grid: Grid, params: ModelParams, state: Sta
     Path(path).write_bytes(header + body)
 
 
-def read_snapshot(path: str | Path, div_tol: float = 1e-8) -> tuple[Grid, ModelParams, State]:
+def read_snapshot(path: str | Path) -> tuple[Grid, ModelParams, State]:
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise SnapshotError(f"{path}: short read (header truncated)")
@@ -66,8 +68,8 @@ def read_snapshot(path: str | Path, div_tol: float = 1e-8) -> tuple[Grid, ModelP
     params = ModelParams(a=a, b=b, c=c, gamma=gamma, nu=nu, L=ell)
     state = State(planes[:2], planes[2:], time)
     resid = grid.divergence_residual(grid.rfft(state.u))
-    if resid > div_tol:
-        raise SnapshotError(f"{path}: velocity divergence {resid:.3e} exceeds {div_tol:g}")
+    if resid > DIV_TOL:
+        raise SnapshotError(f"{path}: velocity divergence {resid:.3e} exceeds {DIV_TOL:g}")
     return grid, params, state
 
 

@@ -93,6 +93,10 @@ class Grid:
         object.__setattr__(self, "k1", kx)
         object.__setattr__(self, "k2", ky)
         object.__setattr__(self, "ksq", kx**2 + ky**2)
+        h = self.length / n  # h * h overflows to inf where cell_area's ** would raise
+        if not (self.ksq[0, 1] > 0 and np.isfinite(self.ksq).all() and h * h < np.inf):
+            raise ValueError(f"period {self.length!r} is out of range at n = {n}: "
+                             "|k|^2 or the cell area under- or overflows")
         # |k|^2 with the zero mode set to 1, a safe divisor for the Leray projection
         object.__setattr__(self, "ksq_safe", np.where(self.ksq == 0.0, 1.0, self.ksq))
         object.__setattr__(self, "kmag", np.sqrt(kx**2 + ky**2))
@@ -149,14 +153,12 @@ class Grid:
 
     # -- multiplier operators (spectral in, spectral out) -------------------
 
-    def deriv_hat(self, fh: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-        """Multiply by (i*k_axis)^order.  axis is 1 or 2."""
+    def deriv_hat(self, fh: np.ndarray, axis: int) -> np.ndarray:
+        """Multiply by i*k_axis.  axis is 1 or 2."""
         if axis not in (1, 2):
             raise ValueError(f"axis must be 1 or 2, got {axis}")
-        if order < 1:
-            raise ValueError(f"derivative order must be >= 1, got {order}")
         k = self.k1 if axis == 1 else self.k2
-        return fh * (1j * k) ** order
+        return fh * (1j * k)
 
     def laplacian_hat(self, fh: np.ndarray) -> np.ndarray:
         return -self.ksq * fh
@@ -187,8 +189,8 @@ class Grid:
 
     # -- real-space convenience wrappers -------------------------------------
 
-    def deriv(self, f: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-        return self.irfft(self.deriv_hat(self.rfft(f), axis, order))
+    def deriv(self, f: np.ndarray, axis: int) -> np.ndarray:
+        return self.irfft(self.deriv_hat(self.rfft(f), axis))
 
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         return self.irfft(self.laplacian_hat(self.rfft(f)))
@@ -287,7 +289,8 @@ def _band_tables(
     k = _lattice_index(n) * scale
     kx, ky = np.meshgrid(k, k, indexing="ij")
     kmag = np.sqrt(kx**2 + ky**2)
-    band = (kmag >= kmin * scale) & (kmag <= kmax * scale)
+    # the zero mode, where |k|^-decay is infinite, is never in the band
+    band = (kmag > 0) & (kmag >= kmin * scale) & (kmag <= kmax * scale)
     amp = (kmag[band] / scale) ** (-decay)
     band.flags.writeable = False
     amp.flags.writeable = False
@@ -303,9 +306,9 @@ def random_scalar(
 ) -> np.ndarray:
     """Mean-zero real field with power-law amplitude and random phases.
 
-    Spectral support is the annulus kmin <= |k| <= kmax in lattice units;
-    kmax defaults to n/4 so that triple products stay alias-free under the
-    two-thirds rule.  The phases are drawn on the full n x n lattice (so the
+    Spectral support is the annulus kmin <= |k| <= kmax in lattice units,
+    without the zero mode; kmax defaults to n/4 so that triple products stay
+    alias-free under the two-thirds rule.  The phases are drawn on the full n x n lattice (so the
     rng stream does not depend on the band), amplitude times phase is
     evaluated on the band modes only, and the field is synthesized by a
     full complex inverse transform whose real part Hermitian-symmetrizes

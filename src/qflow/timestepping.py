@@ -41,8 +41,8 @@ BAND_GUARD = 1e-20
 
 
 class BandError(ValueError):
-    """Raised when an initial state has more than BAND_GUARD of its energy
-    outside the dealias band."""
+    """Raised when an initial state has a non-finite energy, or more than
+    BAND_GUARD of it outside the dealias band."""
 
 
 class BlowUpError(RuntimeError):
@@ -173,13 +173,17 @@ def _band_limited(grid: Grid, s: State, what: str = "initial state"
                   ) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients (uh, qh) of s, masked to the dealias band.
 
-    Raises BandError when more than BAND_GUARD of the energy |u|^2 + |Q|^2
-    lies outside the band; the share is read from the coefficients.
+    Raises BandError when the energy |u|^2 + |Q|^2 is not finite, or more
+    than BAND_GUARD of it lies outside the band; both are read from the
+    coefficients.
     """
     uh, qh = grid.rfft(s.u), grid.rfft(s.q)
     power = grid.power_hat(uh) + grid.power_hat(qh)
     outside = float(power[~grid.dealias_mask].sum())
     total = float(power.sum())
+    if not np.isfinite(total):
+        raise BandError(f"{what} has a non-finite energy |u|^2 + |Q|^2 = {total:g}; "
+                        "check its amplitudes, decay and len")
     if outside > BAND_GUARD * total:
         raise BandError(
             f"{what} has {outside / total:.3g} of its energy outside the dealias band "
@@ -252,7 +256,6 @@ def run(
     tc: TimeConfig,
     hs_probes: tuple[float, ...] = (),
     state_stride: int = 0,
-    energy_guard: float = ENERGY_GUARD,
 ) -> Trajectory:
     """Advance to t_end recording every diagnostic channel at every step.
 
@@ -280,7 +283,7 @@ def run(
         times.append(t)
         row = standard_probes(grid, part, s, uh, qh, p, hs_probes)
         rows.append(row)
-        _guard_energy(row["energy"], e0, energy_guard, t, times, rows)
+        _guard_energy(row["energy"], e0, t, times, rows)
         if state_stride > 0 and k % state_stride == 0:
             states.append(s)
     if states[-1] is not s:
@@ -310,10 +313,10 @@ def _next_step(stepper: Stepper, s: State, t: float, t0: float, k: int, t_final:
     return dt, t_next
 
 
-def _guard_energy(energy: float, e0: float, guard: float, t: float,
+def _guard_energy(energy: float, e0: float, t: float,
                   times: list[float], rows: list[dict[str, float]], **tags: float) -> None:
-    """Abort, flushing the series so far, once energy exceeds guard times e0."""
-    if energy > guard * e0:
+    """Abort, flushing the series so far, once energy exceeds ENERGY_GUARD times e0."""
+    if energy > ENERGY_GUARD * e0:
         raise _flush(BlowUpError("energy guard tripped", t,
                                  {"energy": energy, "energy0": e0, **tags}), t, times, rows)
 
@@ -404,8 +407,7 @@ def twin_run(
         row = _twin_probes(g, w, a, b, p)
         rows.append(row)
         for m, e0_m in zip((1, 2), e0):
-            _guard_energy(_member_energy(row, m, p), e0_m, ENERGY_GUARD, t, times, rows,
-                          member=float(m))
+            _guard_energy(_member_energy(row, m, p), e0_m, t, times, rows, member=float(m))
 
     series = _columns(rows)
     series["chi"] = _log_derivative(np.array(times), series["phi"])

@@ -62,9 +62,9 @@ def twin_set():
 
 def test_criterion_01_partition_of_unity():
     start = time.time()
-    rep = C.partition_unity_check(Grid(256), tolerance=1e-12)
+    rep = C.partition_unity_check(Grid(256))
     elapsed = time.time() - start
-    ok = rep.passed and elapsed < 1.0
+    ok = rep.passed and rep.tolerance == 1e-12 and elapsed < 1.0
     announce(1, "partition of unity (256^2)", ok,
              f"max_dev={rep.measured['max_dev']:.3g}", elapsed)
     assert ok
@@ -72,10 +72,11 @@ def test_criterion_01_partition_of_unity():
 
 def test_criterion_02_bony_and_sym_decomp(grid128):
     start = time.time()
-    rep_b = C.bony_check(grid128, trials=100, seed=0, tolerance=1e-10)
-    rep_s = C.sym_decomp_check(grid128, trials=100, seed=0, tolerance=1e-10)
+    rep_b = C.bony_check(grid128, trials=100, seed=0)
+    rep_s = C.sym_decomp_check(grid128, trials=100, seed=0)
     elapsed = time.time() - start
-    ok = rep_b.passed and rep_s.passed and elapsed < 30.0
+    ok = rep_b.passed and rep_s.passed and rep_b.tolerance == rep_s.tolerance == 1e-10
+    ok &= elapsed < 30.0
     announce(2, "Bony + symmetric decomposition (128^2, 100 pairs)", ok,
              f"bony={rep_b.measured['worst_rel']:.3g} "
              f"sym={rep_s.measured['worst_rel']:.3g}", elapsed)
@@ -84,26 +85,27 @@ def test_criterion_02_bony_and_sym_decomp(grid128):
 
 def test_criterion_03_cancellation():
     start = time.time()
-    rep = C.cancellation_ensemble(Grid(64), trials=1000, seed=0, tolerance=1e-8)
+    rep = C.cancellation_ensemble(Grid(64), trials=1000, seed=0)
     elapsed = time.time() - start
-    ok = rep.passed and elapsed < 60.0
+    ok = rep.passed and rep.tolerance == 1e-8 and elapsed < 60.0
     announce(3, "commutator cancellation (1000 triples, 64^2)", ok,
              f"worst_rel={rep.measured['worst_rel']:.3g}", elapsed)
     assert ok
 
 
 def test_criterion_04_transport_cancellations():
-    rep = C.transport_cancellation_check(Grid(64), trials=100, seed=0, tolerance=1e-10)
-    announce(4, "Leray/transport cancellations (100 samples)", rep.passed,
+    rep = C.transport_cancellation_check(Grid(64), trials=100, seed=0)
+    ok = rep.passed and rep.tolerance == 1e-10
+    announce(4, "Leray/transport cancellations (100 samples)", ok,
              f"worst_rel={rep.measured['worst_rel']:.3g}")
-    assert rep.passed
+    assert ok
 
 
 def test_criterion_05_energy_balance(energy_refinement_runs):
     trajs, run_time = energy_refinement_runs
-    rep = C.energy_balance_check(trajs, t_skip=0.1, order_tol=1.9)
+    rep = C.energy_balance_check(trajs)
     orders = [v for k, v in rep.measured.items() if k.startswith("order")]
-    ok = rep.passed and run_time < 300.0
+    ok = rep.passed and rep.tolerance == 1.9 and run_time < 300.0
     announce(5, "energy balance refinement (128^2, t=1)", ok,
              f"orders={[round(o, 3) for o in orders]}", run_time)
     assert ok
@@ -161,7 +163,7 @@ def test_criterion_08_linf_interpolation(grid128):
     ok = True
     details = []
     for s in (0.25, 0.5, 1.0):
-        rep = C.linf_interp_check(grid128, s=s, n_range=range(1, 11), trials=100, seed=0)
+        rep = C.linf_interp_check(grid128, s=s, trials=100, seed=0)
         ok &= rep.passed and math.isfinite(rep.fitted["C"])
         details.append(f"s={s}: C={rep.fitted['C']:.4f}")
     announce(8, "three-term sup-norm bound, one C for N=1..10", ok,

@@ -83,12 +83,13 @@ def test_bony_and_sym_decomp_small(grid):
     assert C.sym_decomp_check(grid, trials=3, seed=0).passed
 
 
-def test_commutator_estimate_baseline_behaviour(grid):
+def test_commutator_estimate_baseline_behaviour(grid, monkeypatch):
     rep = C.commutator_estimate_check(grid, trials=25, seed=0)
     assert rep.passed  # no baseline at 64^2: pass iff finite
-    tight = C.commutator_estimate_check(grid, trials=25, seed=0,
-                                        baseline=rep.fitted["C"] / 2.0)
-    assert not tight.passed
+    monkeypatch.setitem(C.BASELINES, "commutator_estimate",
+                        {"C": rep.fitted["C"] / 2.0, "n": grid.n, "trials": 25})
+    tight = C.commutator_estimate_check(grid, trials=25, seed=0)
+    assert not tight.passed and tight.tolerance == C.SLACK * rep.fitted["C"] / 2.0
 
 
 def test_neg_index_and_product_checks(grid):
@@ -139,7 +140,7 @@ def test_energy_balance_convergence(grid):
     init = smooth_state(grid)
     p = params()
     trajs = [run(grid, init, p, TimeConfig(dt=dt, t_end=0.3)) for dt in (4e-3, 2e-3, 1e-3)]
-    rep = C.energy_balance_check(trajs, t_skip=0.1)
+    rep = C.energy_balance_check(trajs)
     assert rep.passed
     assert min(v for k, v in rep.measured.items() if k.startswith("order")) >= 1.9
 

@@ -23,6 +23,7 @@ from qflow.qtensor import ModelParams, State
 from qflow.snapshots import SnapshotError, emit_series, read_series, read_snapshot, write_snapshot
 from qflow.spectral import Grid, random_velocity
 from qflow.qtensor import random_qtensor
+from qflow.timestepping import BandError, _band_limited
 
 MINIMAL = """
 [grid]
@@ -386,6 +387,31 @@ def test_config_rejects_run_without_end(tmp_path):
     assert parse_config(text.replace("dt = 1e-9", "dt = auto")).time.dt == "auto"
 
 
+def test_config_rejects_auto_dt_run_without_end(tmp_path):
+    # an auto step is at most cfl * len / n, so t_end = 1e300 with dt = auto
+    # takes at least 1e300 / (0.4 * 2 pi / 32) steps; it used to run until killed
+    text = full_config(tmp_path / "out").replace("dt = 0.005", "dt = auto")
+    k = text.splitlines().index("t_end = 0.05") + 1
+    with pytest.raises(ConfigError,
+                       match=rf"line {k}: .*t_end / \(cfl \* len / n\) = 1\.273e\+301 steps"):
+        parse_config(text.replace("t_end = 0.05", "t_end = 1e300"))
+    # with the default t_end the error names the cfl line, then the len line
+    text = text.replace("t_end = 0.05\n", "")
+    k = text.splitlines().index("[time]") + 3
+    with pytest.raises(ConfigError, match=rf"line {k}: .*exceeds the limit"):
+        parse_config(text.replace("dt = auto", "dt = auto\ncfl = 1e-9"))
+    k = text.splitlines().index("n = 32") + 2
+    with pytest.raises(ConfigError, match=rf"line {k}: .*exceeds the limit"):
+        parse_config(text.replace("n = 32", "n = 32\nlen = 1e-9"))
+    # the bulk-reaction cap 1 / (gamma |a|) bounds the auto step too: with
+    # a = 1e12 a run used to go on until killed
+    k = text.splitlines().index("a = -0.2") + 1
+    with pytest.raises(ConfigError, match=rf"line {k}: .*t_end \* gamma \* \|a\| = 8e\+11 steps"):
+        parse_config(text.replace("a = -0.2", "a = 1e12"))
+    limit = MAX_STEPS * 0.4 * 2 * math.pi / 32
+    assert parse_config(text.replace("dt = auto", f"dt = auto\nt_end = {limit / 2!r}"))
+
+
 @pytest.mark.parametrize("old, new, pattern", [
     ("c = 1.0", "c = -2.0", "c must be positive"),
     ("nu = 0.25", "nu = 0", "nu must be positive"),
@@ -422,16 +448,26 @@ _VALUES = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs", "Cc")), max_size=12),
 )
 
+_STATE_KEYS = [("grid", "len"), ("init", "amplitude_u"), ("init", "amplitude_q"),
+               ("init", "kmin"), ("init", "decay")]
+_FINITE = st.one_of(
+    st.sampled_from(["0", "-1", "0.5", "1e-300", "5e-324", "1e160", "1e308", "-1e300"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+
 
 @st.composite
 def config_texts(draw):
-    """A valid config with some keys replaced by odd values, some dropped,
-    and maybe one garbage line."""
+    """A valid config with any preset, the initial state's keys set to finite
+    numbers of any size, some keys replaced by odd values, some dropped, and
+    maybe one garbage line."""
     entries = {(section, key): value for section, keys in _VALID.items()
                for key, value in keys.items()}
     for key in draw(st.sets(st.sampled_from(sorted(entries)), max_size=2)):
         del entries[key]
-    entries.update(draw(st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=5)))
+    entries.update(draw(st.dictionaries(st.sampled_from(_STATE_KEYS), _FINITE, max_size=3)))
+    entries[("init", "preset")] = draw(st.sampled_from(config.PRESETS))
+    entries.update(draw(st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=5)
+                        | st.just({})))
     lines = []
     for section in config._SCHEMA:
         lines.append(f"[{section}]")
@@ -456,8 +492,26 @@ def test_parse_config_fuzz(text):
         if line:
             assert 1 <= int(line.group(1)) <= len(text.splitlines())
         return
-    if cfg.time.dt != "auto":
-        assert cfg.time.t_end / cfg.time.dt <= MAX_STEPS
+    step = cfg.time.dt
+    if step == "auto":  # the largest step Stepper.auto_dt can take
+        react = cfg.params.gamma * abs(cfg.params.a)
+        step = min(cfg.time.cfl * cfg.length / cfg.n, 1 / react if react else math.inf)
+    assert cfg.time.t_end == 0 or cfg.time.t_end / step <= MAX_STEPS
+    if cfg.n > 32 or cfg.snapshot is not None:
+        return
+    # the run starts: its initial state has a finite energy, or is refused
+    # as `simulate` and `twin` refuse it
+    try:
+        with np.errstate(all="ignore"):
+            grid = Grid(cfg.n, cfg.length)
+            uh, qh = _band_limited(grid, build_initial_state(cfg, grid))
+    except BandError as err:
+        assert "non-finite energy" in str(err) or "dealias band" in str(err), err
+        return
+    except ValueError as err:
+        assert "is out of range" in str(err), err
+        return
+    assert math.isfinite(float((grid.power_hat(uh) + grid.power_hat(qh)).sum()))
 
 
 @pytest.mark.parametrize("spec", ["0.5,0,2", "nan,2,2", "inf,2,2", "0.5,nan,2", "0.5,2,0.5"])
@@ -476,6 +530,26 @@ def test_cli_twin_rejects_bad_eps(tmp_path, eps):
     with pytest.raises(SystemExit, match="error: --eps must be a finite number >= 0"):
         main(["twin", str(cfg), f"--eps={eps}"])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("kmax = 6", "kmax = 6\ndecay = -1e300"),
+    ("amplitude_q = 0.3", "amplitude_q = 1e308"),
+    ("preset = random_spectrum\nseed = 5\namplitude_u = 0.4",
+     "preset = taylor_green\nseed = 5\namplitude_u = 1e308"),
+    ("n = 32", "n = 32\nlen = 5e-324"),
+], ids=["decay", "amplitude_q", "taylor_green", "len"])
+def test_cli_refuses_non_finite_initial_state(tmp_path, old, new):
+    # these configs parse, and used to abort at the first step (or end in a
+    # traceback, for len) after flushing a NaN series
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(full_config(tmp_path / "out").replace(old, new))
+    with np.errstate(all="ignore"):
+        for command in (["simulate", str(cfg)], ["twin", str(cfg), "--eps", "1e-4"]):
+            with pytest.raises(SystemExit, match="error: (initial state has a non-finite energy"
+                                                 "|period 5e-324 is out of range)"):
+                main(command)
+    assert not any((tmp_path / "out").glob("*.csv"))
 
 
 def test_cli_rejects_out_of_band_snapshot(tmp_path):

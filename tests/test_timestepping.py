@@ -119,12 +119,13 @@ def test_auto_dt_caps(grid):
     assert dt <= 1.0 / react + 1e-15
 
 
-def test_blow_up_detection(grid):
+def test_blow_up_detection(grid, monkeypatch):
     # strong bulk growth (a << 0, weak saturation) trips the energy guard
     p = params(a=-5.0, b=0.0, c=0.01, gamma=2.0)
     init = smooth_state(grid, amp_u=0.0, amp_q=0.2)
-    with pytest.raises(BlowUpError) as info:
-        run(grid, init, p, TimeConfig(dt=5e-3, t_end=3.0), energy_guard=2.0)
+    monkeypatch.setattr(timestepping, "ENERGY_GUARD", 2.0)
+    with pytest.raises(BlowUpError, match="energy guard") as info:
+        run(grid, init, p, TimeConfig(dt=5e-3, t_end=3.0))
     times, series = info.value.partial  # partial output flushed into the abort
     assert len(times) >= 2 and len(series["energy"]) == len(times)
 
@@ -392,7 +393,7 @@ def test_twin_auto_dt_follows_member_one():
     assert np.array_equal(twin.times, solo.times)
 
 
-def test_non_finite_step_reports_input_state():
+def test_non_finite_step_reports_input_state(monkeypatch):
     # a step far past the stability limit: the abort names the step's end time
     # and the input state's max |u|, max |Q| and dt
     g = Grid(16)
@@ -401,6 +402,7 @@ def test_non_finite_step_reports_input_state():
     stepper = Stepper(g, p, TimeConfig(dt=2.0))
     # the in-band coefficients that run() steps from
     uh, qh = g.dealias_mask * g.rfft(init.u), g.dealias_mask * g.rfft(init.q)
+    monkeypatch.setattr(timestepping, "ENERGY_GUARD", np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(100):
             try:
@@ -415,7 +417,7 @@ def test_non_finite_step_reports_input_state():
         assert err.diagnostics == {"max_u": np.abs(g.irfft(uh)).max(),
                                    "max_q": np.abs(g.irfft(qh)).max(), "dt": 2.0}
         with pytest.raises(BlowUpError, match="non-finite") as info:
-            run(g, init, p, TimeConfig(dt=2.0, t_end=400.0), energy_guard=np.inf)
+            run(g, init, p, TimeConfig(dt=2.0, t_end=400.0))
     times, _ = info.value.partial
     assert len(times) == k + 1 and info.value.t == 2.0 * (k + 1)
     assert info.value.diagnostics["max_u"] == err.diagnostics["max_u"]
@@ -443,6 +445,24 @@ def test_band_guard_rejects_out_of_band_initial_state():
     # an out-of-band perturbation of in-band data is refused too
     with pytest.raises(BandError, match="perturbed initial state"):
         twin_run(g, smooth_state(g, kmax=4), Perturbation(1e-3, kmax=6), p, tc)
+
+
+@pytest.mark.parametrize("scale", [1e308, np.inf, np.nan])
+def test_band_guard_refuses_non_finite_energy(scale):
+    # an overflowing or non-finite initial state used to pass the guard and
+    # abort at the first step; run, twin_run and step refuse it
+    g = Grid(16)
+    p = params()
+    tc = TimeConfig(dt=1e-3, t_end=2e-3)
+    clean = smooth_state(g, kmax=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = State(clean.u, scale * clean.q)
+        for call in (lambda: run(g, bad, p, tc), lambda: step(g, bad, p, tc),
+                     lambda: twin_run(g, bad, Perturbation(1e-3), p, tc)):
+            with pytest.raises(BandError, match="initial state has a non-finite energy"):
+                call()
+        with pytest.raises(BandError, match="perturbed initial state has a non-finite energy"):
+            twin_run(g, clean, Perturbation(scale), p, tc)
 
 
 def test_band_guard_masks_roundoff():
