@@ -11,7 +11,7 @@ import numpy as np
 
 from .qtensor import ModelParams, State, random_qtensor
 from .spectral import Grid, random_velocity
-from .timestepping import TimeConfig
+from .timestepping import MAX_STEPS, TimeConfig
 
 
 class ConfigError(ValueError):
@@ -35,10 +35,6 @@ _REQUIRED: tuple[tuple[str, str], ...] = (
 
 PRESETS = ("taylor_green", "uniaxial_wave", "random_spectrum")
 
-#: Most steps a run may take, so that every accepted run ends: t_end / dt for a
-#: fixed dt, and for dt = auto t_end over the largest step Stepper.auto_dt can
-#: take, min(cfl * len / n, 1 / (gamma |a|)).
-MAX_STEPS = 10**8
 #: Largest grid n: one (n, n) float plane is then 32 GiB, past any desk machine.
 MAX_N = 2**16
 

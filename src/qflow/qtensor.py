@@ -212,11 +212,6 @@ def bulk_force(q: np.ndarray, p: ModelParams, grid: Grid | None = None) -> np.nd
     return -p.a * q + grid.dealias(_bulk_products(grid, q, p))
 
 
-def bulk_force_hat(grid: Grid, q: np.ndarray, qh: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Dealiased bulk force P(Q) as half-spectrum coefficients; qh is rfft(Q)."""
-    return grid.rfft(_bulk_products(grid, q, p), band=True) - p.a * qh
-
-
 def corotation(grid: Grid, q: np.ndarray, u: np.ndarray, dealias: bool = True) -> np.ndarray:
     """Commutator Omega Q - Q Omega rotating the tensor with the flow."""
     uh = grid.rfft(u)
@@ -301,32 +296,33 @@ def _gradient_planes(grid: Grid, fh: np.ndarray, ik: tuple[np.ndarray, np.ndarra
 _COMMUTATOR_PLANES = [0, 2, 3, 4]
 
 
-def _momentum_hat(grid: Grid, u: np.ndarray, omega: np.ndarray, q: np.ndarray, qh: np.ndarray,
+def _momentum_hat(grid: Grid, u: np.ndarray, omega: np.ndarray, q: np.ndarray, lap: np.ndarray,
                   dq: np.ndarray, p: ModelParams) -> np.ndarray:
     """P[omega u_perp + L div S] from the physical planes; omega = d1 u2 - d2 u1, dq[i-1] = d_i Q.
 
-    omega u_perp = (omega u2, -omega u1) differs from -u.grad(u) by the
-    gradient of |u|^2/2, which the Leray projection removes.  The six
-    momentum planes (advection, the stress commutator entry and
-    grad Q o grad Q) are dealiased once, after their products.
+    lap holds the lap Q planes _COMMUTATOR_PLANES.  omega u_perp =
+    (omega u2, -omega u1) differs from -u.grad(u) by the gradient of
+    |u|^2/2, which the Leray projection removes.  The six momentum planes
+    (advection, the stress commutator entry and grad Q o grad Q) are
+    dealiased once, after their products.
     """
     mom = np.empty((6,) + u.shape[1:])
     mom[0] = omega * u[1]
     mom[1] = -omega * u[0]
-    lap = grid.irfft(grid.laplacian_hat(qh[_COMMUTATOR_PLANES]))
     _stress_planes(mom[2:], q, (lap[0], None, lap[1], lap[2], lap[3]), dq[0], dq[1])
     mh = grid.rfft(mom, band=True)
     return grid.leray_hat(mh[:2] + p.L * _stress_div_hat(grid, mh[2:]))
 
 
 def _tensor_hat(grid: Grid, u: np.ndarray, w: np.ndarray, q: np.ndarray, qh: np.ndarray,
-                dq: np.ndarray, p: ModelParams) -> np.ndarray:
+                dq: np.ndarray, bulk: np.ndarray, p: ModelParams) -> np.ndarray:
     """-u.grad(Q) + Omega Q - Q Omega + gamma P(Q) from the physical planes, spin w = Omega_12.
 
-    The five summed product planes are dealiased once; -gamma a Q is added
+    bulk is _bulk_products(grid, q, p); it is overwritten with the five
+    summed product planes, which are dealiased once; -gamma a Q is added
     in spectral space.
     """
-    n_q = _bulk_products(grid, q, p)
+    n_q = bulk
     n_q *= p.gamma
     n_q += corotate(w, q)
     n_q -= u[0] * dq[0]
@@ -336,9 +332,54 @@ def _tensor_hat(grid: Grid, u: np.ndarray, w: np.ndarray, q: np.ndarray, qh: np.
     return n_qh
 
 
+@dataclass
+class StatePlanes:
+    """Physical planes of one in-band state (uh, qh), and its P(Q) pairings.
+
+    u = irfft(uh), uncut also in Friedrichs mode, and q = irfft(qh).  b_q
+    and b_lapq are the L^2 pairings <B, Q> and <B, lap Q> of the undealiased
+    bulk products B = b proj_S0(Q^2) - c tr(Q^2) Q, taken by quadrature.
+    The two-thirds mask is a projector and Q is in band, so by discrete
+    Parseval <P(Q), Q> = -a ||Q||^2 + b_q and
+    <P(Q), lap Q> = a ||grad Q||^2 + b_lapq, with no transform of P(Q).
+    """
+
+    u: np.ndarray
+    q: np.ndarray
+    b_q: float
+    b_lapq: float
+
+
+def _pairing(grid: Grid, f, h) -> float:
+    """sum_a <f[a], h[a]> over paired planes, one plane of scratch at a time."""
+    return float(sum(np.sum(fa * ha) for fa, ha in zip(f, h))) * grid.cell_area
+
+
+def _state_planes(grid: Grid, u: np.ndarray, q: np.ndarray, qh: np.ndarray, bulk: np.ndarray,
+                  lap: np.ndarray) -> StatePlanes:
+    """StatePlanes from the physical planes u, Q, B = bulk and the lap Q planes _COMMUTATOR_PLANES.
+
+    Transforms the one lap Q plane that lap lacks, E2 (1 c2r).
+    """
+    lap_e2 = grid.irfft(grid.laplacian_hat(qh[1]))
+    b_lapq = _pairing(grid, [*(bulk[a] for a in _COMMUTATOR_PLANES), bulk[1]], [*lap, lap_e2])
+    return StatePlanes(u, q, _pairing(grid, bulk, q), b_lapq)
+
+
+def state_planes(grid: Grid, uh: np.ndarray, qh: np.ndarray, p: ModelParams) -> StatePlanes:
+    """StatePlanes of the in-band coefficients (uh, qh), with no right-hand side.
+
+    Transforms only what the record holds: u, Q, the tr(Q^2) round trip
+    of B and the five lap Q planes (13 c2r + 1 r2c).
+    """
+    q = grid.irfft(qh)
+    lap = grid.irfft(grid.laplacian_hat(qh[_COMMUTATOR_PLANES]))
+    return _state_planes(grid, grid.irfft(uh), q, qh, _bulk_products(grid, q, p), lap)
+
+
 def nonlinear(
-    grid: Grid, uh: np.ndarray, qh: np.ndarray, p: ModelParams
-) -> tuple[np.ndarray, np.ndarray]:
+    grid: Grid, uh: np.ndarray, qh: np.ndarray, p: ModelParams, planes: bool = False
+) -> tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, StatePlanes]:
     """Non-stiff right-hand sides (N_u, N_Q) for the integrating-factor scheme.
 
     Spectral in, spectral out: uh (2, n, n//2+1) and qh (5, n, n//2+1) are
@@ -359,18 +400,28 @@ def nonlinear(
     summed products with one dealias mask per output (5 planes for N_Q,
     6 momentum planes); only tr(Q^2) inside the cubic term takes its own
     dealiased round trip.
+
+    planes=True also returns the StatePlanes record of (uh, qh), built from
+    this call's own planes u, Q, the bulk products (before they are scaled
+    into N_Q) and lap Q.  That adds the E2 lap Q plane (1 c2r) and, in
+    Friedrichs mode, where the call's u is the cut velocity, the uncut u
+    (2 c2r).
     """
     g = grid
-    if p.n_cutoff is not None:
-        uh = g.freq_cutoff_hat(uh, p.n_cutoff)
+    uh_cut = uh if p.n_cutoff is None else g.freq_cutoff_hat(uh, p.n_cutoff)
     ik = (1j * g.k1, 1j * g.k2)
-    u = g.irfft(uh)
+    u = g.irfft(uh_cut)
     q = g.irfft(qh)
     dq = _gradient_planes(g, qh, ik)
-    omega = g.irfft(ik[0] * uh[1] - ik[1] * uh[0])
-    n_uh = _momentum_hat(g, u, omega, q, qh, dq, p)
-    n_qh = _tensor_hat(g, u, 0.5 * omega, q, qh, dq, p)
+    omega = g.irfft(ik[0] * uh_cut[1] - ik[1] * uh_cut[0])
+    lap = g.irfft(g.laplacian_hat(qh[_COMMUTATOR_PLANES]))
+    n_uh = _momentum_hat(g, u, omega, q, lap, dq, p)
+    bulk = _bulk_products(g, q, p)
+    if planes:
+        record = _state_planes(g, u if uh_cut is uh else g.irfft(uh), q, qh, bulk, lap)
+    del lap
+    n_qh = _tensor_hat(g, u, 0.5 * omega, q, qh, dq, bulk, p)
     if p.n_cutoff is not None:
         n_uh = g.freq_cutoff_hat(n_uh, p.n_cutoff)
     n_uh[:, 0, 0] = 0.0
-    return n_uh, n_qh
+    return (n_uh, n_qh, record) if planes else (n_uh, n_qh)

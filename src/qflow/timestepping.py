@@ -11,9 +11,13 @@ everything else is explicit.  One step of the Heun-type scheme:
 
 which is exact for vanishing N and second order otherwise.  The state is
 carried between steps as half-spectrum coefficients: a step takes and
-returns (uh, qh), and run() transforms each new state to physical space
-once, for the diagnostics that need it; twin_run() reads every channel
-from the coefficients.
+returns (uh, qh), and takes k1 from its caller when the caller has it.
+run() evaluates k1 of each state that a step follows by one call of
+nonlinear(..., planes=True), whose StatePlanes record (the physical u and
+Q and the P(Q) pairings) also feeds that state's probe row, the dt = auto
+step, the snapshots and the energy guard; the final state's record is
+built by qtensor.state_planes.  twin_run() reads every channel from the
+coefficients, and sizes a dt = auto step from member 1's record.
 
 The stepping path relies on the state being in the dealias band (every
 mode with max(|k1|, |k2|) <= n/3), where the two-thirds-rule products, and
@@ -28,11 +32,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dyadic import DyadicPartition, shared_partition
-from .qtensor import ModelParams, State, bulk_force_hat, nonlinear, trace_q2
+from .qtensor import ModelParams, State, StatePlanes, nonlinear, state_planes, trace_q2
 from .spectral import Grid, random_scalar, random_velocity
 
 # A run aborts once its energy exceeds this multiple of the initial energy.
 ENERGY_GUARD = 1e6
+
+#: Most steps a run may take, so that every run ends.  parse_config refuses
+#: a config whose t_end / dt, or for dt = auto t_end over the largest step
+#: Stepper.auto_dt can take, min(cfl * len / n, 1 / (gamma |a|)), exceeds it;
+#: run() and twin_run() abort once the steps taken plus the remaining time
+#: over the current step do.
+MAX_STEPS = 10**8
 
 # Largest share of an initial state's L^2 energy, |u|^2 + |Q|^2, that may lie
 # outside the dealias band; it admits transform roundoff (about 1e-28 for a
@@ -112,7 +123,8 @@ class Stepper:
         self.tc = tc
         self._exp_cache: tuple[float, np.ndarray, np.ndarray] | None = None
 
-    def auto_dt(self, s: State) -> float:
+    def auto_dt(self, s: State | StatePlanes) -> float:
+        """CFL and bulk-reaction cap on dt from the physical planes s.u and s.q."""
         g, p = self.grid, self.params
         h = g.length / g.n
         umax = float(np.sqrt(np.sum(s.u**2, axis=0)).max(initial=0.0))
@@ -132,16 +144,18 @@ class Stepper:
         self._exp_cache = (dt, eu, eq)
         return eu, eq
 
-    def step(self, uh: np.ndarray, qh: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, uh: np.ndarray, qh: np.ndarray, dt: float,
+             k1: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Advance the in-band half-spectrum coefficients (uh, qh) by dt; no transform of the state.
 
+        k1 is nonlinear(uh, qh), evaluated here unless the caller passes it.
         A non-finite result raises BlowUpError carrying max |u|, max |Q| of
         the input state (transformed only on that path) and dt.
         """
         g, p = self.grid, self.params
         eu, eq = self._multipliers(dt)
 
-        k1u, k1q = nonlinear(g, uh, qh, p)
+        k1u, k1q = nonlinear(g, uh, qh, p) if k1 is None else k1
         k2u, k2q = nonlinear(g, eu * (uh + dt * k1u), eq * (qh + dt * k1q), p)
 
         uh_new = g.leray_hat(eu * (uh + 0.5 * dt * k1u) + 0.5 * dt * k2u)
@@ -196,20 +210,19 @@ def _band_limited(grid: Grid, s: State, what: str = "initial state"
 
 
 def standard_probes(
-    grid: Grid, part: DyadicPartition, s: State, uh: np.ndarray, qh: np.ndarray,
+    grid: Grid, part: DyadicPartition, s: StatePlanes, uh: np.ndarray, qh: np.ndarray,
     p: ModelParams, hs_list: tuple[float, ...] = ()
 ) -> dict[str, float]:
-    """Scalar diagnostic channels for one state, given both as physical
-    planes s and as its half-spectrum coefficients (uh, qh).
+    """Scalar diagnostic channels for one state, given as its StatePlanes
+    record s and its half-spectrum coefficients (uh, qh); transforms nothing.
 
     Always includes the L^2/H^1-level energy bookkeeping and the L^{2p}
     norms of Q for p in {1, 2, 3}; for every s in hs_list adds the
     Besov-flavored homogeneous-Sobolev channels used by the growth checks.
     Every weighted channel is one sum over the field's power spectrum; the
-    P(Q) pairings are taken in spectral space.
+    P(Q) pairings come from the record's quadratures.
     """
     g = grid
-    pqh = bulk_force_hat(g, s.q, qh, p)
     pu, pq = g.power_hat(uh), g.power_hat(qh)
 
     out: dict[str, float] = {}
@@ -219,8 +232,8 @@ def standard_probes(
     out["gradq2"] = _weighted(pq, g.ksq)
     out["lapq2"] = _weighted(pq, g.ksq**2)
     out["energy"] = out["l2_u2"] + out["l2_q2"] + p.L * out["gradq2"]
-    out["pq_q"] = g.inner_hat(pqh, qh)
-    out["pq_lapq"] = -g.inner_hat(pqh, qh, g.ksq)
+    out["pq_q"] = -p.a * out["l2_q2"] + s.b_q
+    out["pq_lapq"] = p.a * out["gradq2"] + s.b_lapq
     for pex in (1, 2, 3):
         out[f"l2p{pex}_q"] = g.norm_lp(s.q, 2 * pex)
     out["max_u"] = float(np.sqrt(np.sum(s.u**2, axis=0)).max(initial=0.0))
@@ -260,56 +273,73 @@ def run(
     """Advance to t_end recording every diagnostic channel at every step.
 
     state_stride > 0 stores every stride-th state (plus initial and final);
-    aborting steps flush the partial series into the raised error.
+    aborting steps flush the partial series into the raised error.  Each
+    state that a step follows gets its record and k1 from one nonlinear
+    call; row 0, the first auto step and the first stored state read
+    init's own physical planes.
     """
     part = shared_partition(grid)
     stepper = Stepper(grid, p, tc)
-    s = init.copy()
-    uh, qh = _band_limited(grid, s)
-    times = [s.t]
-    rows = [standard_probes(grid, part, s, uh, qh, p, hs_probes)]
-    states = [s]
-    e0 = max(rows[0]["energy"], 1e-300)
-    k = 0
+    uh, qh = _band_limited(grid, init)
+    times: list[float] = []
+    rows: list[dict[str, float]] = []
+    states: list[State] = []
+    t, k = init.t, 0
     t_final = init.t + tc.t_end
-    while s.t < t_final - 1e-12:
-        dt, t = _next_step(stepper, s, s.t, init.t, k, t_final)
+    while True:
+        last = t >= t_final - 1e-12
+        if last:
+            rec = state_planes(grid, uh, qh, p)
+        else:
+            *k1, rec = nonlinear(grid, uh, qh, p, planes=True)
+        s = init.copy() if k == 0 else State(rec.u, rec.q, t)
+        rec.u, rec.q = s.u, s.q  # for row 0, init's own planes
+        times.append(t)
+        rows.append(standard_probes(grid, part, rec, uh, qh, p, hs_probes))
+        e0 = max(rows[0]["energy"], 1e-300)
+        _guard_energy(rows[-1]["energy"], e0, t, times, rows)
+        if k == 0 or last or (state_stride > 0 and k % state_stride == 0):
+            states.append(s)
+        if last:
+            break
+        dt, t = _next_step(stepper, rec, t, init.t, k, t_final, times, rows)
+        del rec, s  # keep stage 2's and the next stage 1's peaks free of these planes
         try:
-            uh, qh = stepper.step(uh, qh, dt)
+            uh, qh = stepper.step(uh, qh, dt, k1)
         except BlowUpError as err:
             raise _flush(err, t, times, rows)
-        s = State(grid.irfft(uh), grid.irfft(qh), t)
+        del k1
         k += 1
-        times.append(t)
-        row = standard_probes(grid, part, s, uh, qh, p, hs_probes)
-        rows.append(row)
-        _guard_energy(row["energy"], e0, t, times, rows)
-        if state_stride > 0 and k % state_stride == 0:
-            states.append(s)
-    if states[-1] is not s:
-        states.append(s)
 
     return Trajectory(grid, p, np.array(times), _columns(rows), states)
 
 
-def _next_step(stepper: Stepper, s: State, t: float, t0: float, k: int, t_final: float
+def _next_step(stepper: Stepper, s: State | StatePlanes, t: float, t0: float, k: int,
+               t_final: float, times: list[float], rows: list[dict[str, float]]
                ) -> tuple[float, float]:
     """Size and end time of the step from time t, after k steps from t0.
 
-    s is the physical state at t; only dt = "auto" reads it.  A fixed dt
-    ends step k+1 at t0 + (k+1) dt rather than at a running float sum.  A
-    step that would pass t_final (beyond a 1e-12 slack) is shortened to end
-    there, and one that ends within the slack ends exactly on t_final.
+    s holds the physical planes of the state at t; only dt = "auto" reads
+    it.  A fixed dt ends step k+1 at t0 + (k+1) dt rather than at a running
+    float sum.  A step that would pass t_final (beyond a 1e-12 slack) is
+    shortened to end there, and one that ends within the slack ends exactly
+    on t_final.  A run that would need more than MAX_STEPS steps at this dt
+    aborts, flushing the series so far.
     """
     if stepper.tc.dt == "auto":
         dt = min(stepper.auto_dt(s), t_final - t)
-        return dt, t + dt
-    dt = float(stepper.tc.dt)
-    t_next = t0 + (k + 1) * dt
-    if t_next > t_final + 1e-12:
-        return t_final - t, t_final
-    if t_next > t_final - 1e-12:
-        return dt, t_final
+        t_next = t + dt
+    else:
+        dt = float(stepper.tc.dt)
+        t_next = t0 + (k + 1) * dt
+        if t_next > t_final + 1e-12:
+            dt, t_next = t_final - t, t_final
+        elif t_next > t_final - 1e-12:
+            t_next = t_final
+    steps = k + (t_final - 1e-12 - t) / dt
+    if steps > MAX_STEPS:
+        raise _flush(BlowUpError(f"run needs more than MAX_STEPS = {MAX_STEPS:.0e} steps", t,
+                                 {"dt": dt, "steps": steps}), t, times, rows)
     return dt, t_next
 
 
@@ -375,9 +405,10 @@ def twin_run(
     flushes the partial series into the raised error.
 
     The members are carried as half-spectrum coefficients and every channel
-    is read from them, so a probe row transforms nothing.  Member 1 is
-    transformed to physical space only to size dt = "auto" steps, and both
-    members at the end.
+    is read from them, so a probe row transforms nothing.  A dt = "auto"
+    step is sized from member 1's StatePlanes record, made by the same
+    nonlinear call that gives its k1 (the first one from init's own
+    planes); both members are transformed to physical space at the end.
     """
     g = grid
     w = shared_partition(g).sobolev_weight(-0.5)
@@ -385,7 +416,6 @@ def twin_run(
     auto = tc.dt == "auto"
     a = _band_limited(g, init)
     b = _band_limited(g, perturb.apply(g, init), "perturbed initial state")
-    member1 = init  # physical member 1, current only when dt = "auto"
 
     t = init.t
     times = [t]
@@ -394,14 +424,16 @@ def twin_run(
     t_final = init.t + tc.t_end
     k = 0
     while t < t_final - 1e-12:
-        dt, t = _next_step(stepper, member1, t, init.t, k, t_final)
+        k1, member1 = None, init  # member 1's k1 and planes, made only for dt = "auto"
+        if auto and k > 0:
+            *k1, member1 = nonlinear(g, *a, p, planes=True)
+        dt, t = _next_step(stepper, member1, t, init.t, k, t_final, times, rows)
+        del member1
         try:
-            a = stepper.step(*a, dt)
+            a = stepper.step(*a, dt, k1)
             b = stepper.step(*b, dt)
         except BlowUpError as err:
             raise _flush(err, t, times, rows)
-        if auto:
-            member1 = State(g.irfft(a[0]), g.irfft(a[1]), t)
         k += 1
         times.append(t)
         row = _twin_probes(g, w, a, b, p)

@@ -306,6 +306,30 @@ def test_cli_twin_blow_up_aborts(tmp_path, capsys):
     assert (out / "twin_eps0.001_seed0.csv").exists()  # partial series flushed
 
 
+def _src_env() -> dict[str, str]:
+    """The environment with this tree's src first on PYTHONPATH, for a new interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def test_cli_simulate_aborts_auto_dt_run_past_max_steps(tmp_path):
+    # amplitude_u = 1e8 passes parse_config, which cannot see max|u|, but the
+    # first auto step is about 1.6e-9, so t_end = 1 would take about 6.4e8
+    # steps: the run aborts before its first step and flushes row 0
+    cfg = tmp_path / "r.cfg"
+    out = tmp_path / "out"
+    text = full_config(out).replace("n = 32", "n = 16").replace("kmax = 6", "kmax = 4")
+    text = text.replace("dt = 0.005", "dt = auto").replace("t_end = 0.05", "t_end = 1.0")
+    cfg.write_text(text.replace("amplitude_u = 0.4", "amplitude_u = 1e8"))
+    res = subprocess.run([sys.executable, "-m", "qflow.cli", "simulate", str(cfg)], env=_src_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 1
+    assert f"ABORT run needs more than MAX_STEPS = {MAX_STEPS:.0e} steps at t=0" in res.stderr
+    times, series = read_series(out / "series.csv")
+    assert list(times) == [0.0] and series["max_u"][0] > 1e7
+
+
 def restart_config(tmp_path, snap, grid_lines):
     return full_config(tmp_path / "out").replace("[grid]\nn = 32", grid_lines).replace(
         "preset = random_spectrum", f"snapshot = {snap}")
@@ -637,10 +661,7 @@ def test_cli_error_paths(tmp_path):
 
 def _fresh_python(code: str) -> str:
     """The last line that code prints, run in a new interpreter importing qflow from src."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                          text=True, check=True, timeout=120)
     return out.stdout.strip().splitlines()[-1]
 

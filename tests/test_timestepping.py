@@ -3,7 +3,7 @@ import pytest
 
 from qflow import dyadic, spectral, timestepping
 from qflow.dyadic import DyadicPartition
-from qflow.qtensor import ModelParams, State, random_qtensor
+from qflow.qtensor import ModelParams, State, _bulk_products, nonlinear, random_qtensor, state_planes
 from qflow.spectral import Grid, random_velocity
 from qflow.timestepping import (
     BandError,
@@ -294,27 +294,39 @@ def test_step_and_probe_plane_budget(monkeypatch, n_cutoff):
     stepper = Stepper(g, p, TimeConfig(dt=1e-3))
     part = DyadicPartition(g)
     counts = count_planes(monkeypatch)
+    cut = 0 if n_cutoff is None else 2  # Friedrichs mode: the record's uncut u
 
-    def planes(fn, *args):
+    def planes(fn, *args, **kw):
         counts.update(r2c=0, c2r=0)
-        fn(*args)
+        fn(*args, **kw)
         return counts["r2c"], counts["c2r"]
 
     assert planes(stepper.step, uh, qh, 1e-3) == (24, 46)
-    # P(Q) products and tr(Q^2): 6 r2c + 1 c2r; u and Q are not transformed again
-    assert planes(standard_probes, g, part, s, uh, qh, p, (0.5,)) == (6, 1)
+    *k1, rec = nonlinear(g, uh, qh, p, planes=True)
+    assert planes(stepper.step, uh, qh, 1e-3, k1) == (12, 23)
+    # the stage-1 record adds the E2 lap Q plane
+    assert planes(nonlinear, g, uh, qh, p, planes=True) == (12, 24 + cut)
+    # a record without k1: u, Q, the tr(Q^2) round trip and five lap Q planes
+    assert planes(state_planes, g, uh, qh, p) == (1, 13)
+    assert planes(standard_probes, g, part, rec, uh, qh, p, (0.5,)) == (0, 0)
 
-    # run, per step: the step, one irfft of the new state (7 c2r) and its probe
-    def per_step(runner):
-        r2c, c2r = zip(*(planes(runner, TimeConfig(dt=1e-3, t_end=m * 1e-3)) for m in (2, 3)))
+    # run, per step: stage 1 with the record of the state it follows, then stage 2
+    def per_step(runner, tcs):
+        r2c, c2r = zip(*(planes(runner, tc) for tc in tcs))
         return r2c[1] - r2c[0], c2r[1] - c2r[0]
 
-    assert per_step(lambda tc: run(g, s, p, tc, hs_probes=(0.5,))) == (30, 54)
+    fixed = [TimeConfig(dt=1e-3, t_end=m * 1e-3) for m in (2, 3)]
+    assert per_step(lambda tc: run(g, s, p, tc, hs_probes=(0.5,)), fixed) == (24, 47 + cut)
     # twin_run, per twin step: two member steps; a probe row transforms nothing
     twin = Perturbation(1e-3, seed=1)
-    assert per_step(lambda tc: twin_run(g, s, twin, p, tc)) == (48, 92)
+    assert per_step(lambda tc: twin_run(g, s, twin, p, tc), fixed) == (48, 92)
     w = part.sobolev_weight(-0.5)
     assert planes(timestepping._twin_probes, g, w, (uh, qh), (uh, 2.0 * qh), p) == (0, 0)
+    # with dt = auto, member 1's record sizes the step and its stage 1 gives k1
+    auto = [TimeConfig(dt="auto", t_end=m * 0.15) for m in (2, 3)]  # dt is about 0.157
+    steps = [len(twin_run(g, s, twin, p, tc).times) - 1 for tc in auto]
+    assert steps[1] == steps[0] + 1
+    assert per_step(lambda tc: twin_run(g, s, twin, p, tc), auto) == (48, 93 + cut)
 
 
 @pytest.mark.parametrize("n_cutoff", [None, 4])
@@ -331,13 +343,15 @@ def test_stepping_path_takes_only_pruned_inverse_transforms(monkeypatch, n_cutof
     twin_run(g, s, Perturbation(0.0), p, tc)  # eps > 0 draws its fields by full transforms
 
 
-@pytest.mark.parametrize("n, length", [(16, 3.7), (32, 1.0)])
-def test_coefficient_channels_match_physical_quadrature(n, length):
+@pytest.mark.parametrize("n, length, n_cutoff", [
+    pytest.param(16, 3.7, None, id="16-3.7"), pytest.param(32, 1.0, None, id="32-1.0"),
+    pytest.param(16, 3.7, 4, id="16-3.7-cut4")])
+def test_coefficient_channels_match_physical_quadrature(n, length, n_cutoff):
     # the state is carried as coefficients; every channel read from them must
     # match quadrature of the physical fields and inner_hat of fresh transforms
     g = Grid(n, length=length)
     part = DyadicPartition(g)
-    p = params()
+    p = params(n_cutoff=n_cutoff)
     init = smooth_state(g, kmax=n // 4)
     tc = TimeConfig(dt=2e-3 * length, t_end=8e-3 * length)
 
@@ -346,6 +360,13 @@ def test_coefficient_channels_match_physical_quadrature(n, length):
 
     traj = run(g, init, p, tc, hs_probes=(0.5,), state_stride=1)
     assert len(traj.states) == len(traj.times) == 5
+    # row 0 reads init's own physical planes, exactly
+    row0 = {key: col[0] for key, col in traj.series.items()}
+    assert row0["l2_u2"] == g.inner(init.u, init.u)
+    assert row0["l2_q2"] == g.inner(init.q, init.q)
+    for pex in (1, 2, 3):
+        assert row0[f"l2p{pex}_q"] == g.norm_lp(init.q, 2 * pex)
+    assert row0["max_u"] == np.sqrt(np.sum(init.u**2, axis=0)).max()
     w = part.sobolev_weight(0.5)
     for i, st in enumerate(traj.states):
         assert st.t == traj.times[i]
@@ -358,6 +379,11 @@ def test_coefficient_channels_match_physical_quadrature(n, length):
         close(row["hs0p5_u2"], g.inner_hat(uh, uh, w))
         close(row["hs0p5_lapq2"], g.inner_hat(qh, qh, w * g.ksq**2))
         assert g.divergence_residual(uh) <= 1e-12
+        # the P(Q) pairings, taken by quadrature, against the spectral pairing
+        pqh = g.rfft(_bulk_products(g, st.q, p), band=True) - p.a * qh
+        for key, want in (("pq_q", g.inner_hat(pqh, qh)),
+                          ("pq_lapq", -g.inner_hat(pqh, qh, g.ksq))):
+            assert abs(row[key] - want) <= 1e-13 * abs(want), (key, row[key], want)
 
     twin = twin_run(g, init, Perturbation(1e-2, seed=3), p, tc)
     sa, sb = twin.states
@@ -382,15 +408,28 @@ def test_coefficient_channels_match_physical_quadrature(n, length):
 
 
 def test_twin_auto_dt_follows_member_one():
-    # dt = "auto" sizes each twin step from member 1's current physical state
+    # dt = "auto" sizes each twin step from member 1's current physical
+    # state: init's own planes first, then irfft of the uncut coefficients
     g = Grid(32)
     init = smooth_state(g, kmax=6, amp_u=2.0)
     tc = TimeConfig(dt="auto", t_end=0.3, cfl=0.4)
-    solo = run(g, init, params(), tc)
-    twin = twin_run(g, init, Perturbation(0.0), params(), tc)
-    dts = np.diff(solo.times)[:-1]  # the last step is cut to the horizon
-    assert len(dts) >= 5 and dts.max() > 1.1 * dts.min()  # the flow decays, dt grows
-    assert np.array_equal(twin.times, solo.times)
+    for n_cutoff in (None, 4):
+        p = params(n_cutoff=n_cutoff)
+        solo = run(g, init, p, tc)
+        twin = twin_run(g, init, Perturbation(0.0), p, tc)
+        dts = np.diff(solo.times)[:-1]  # the last step is cut to the horizon
+        assert len(dts) >= 5 and dts.max() > 1.1 * dts.min()  # the flow decays, dt grows
+        assert np.array_equal(twin.times, solo.times)
+
+        stepper = Stepper(g, p, tc)
+        uh, qh = g.dealias_mask * g.rfft(init.u), g.dealias_mask * g.rfft(init.q)
+        s, times = init, [0.0]
+        while times[-1] < tc.t_end - 1e-12:
+            dt = min(stepper.auto_dt(s), tc.t_end - times[-1])
+            uh, qh = stepper.step(uh, qh, dt)
+            s = State(g.irfft(uh), g.irfft(qh))
+            times.append(times[-1] + dt)
+        assert np.array_equal(solo.times, times)
 
 
 def test_non_finite_step_reports_input_state(monkeypatch):
