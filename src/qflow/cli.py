@@ -10,13 +10,14 @@ import argparse
 import ctypes
 import math
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from . import checks
 from .config import ConfigError, RunConfig, build_initial_state, parse_config
 from .dyadic import NormSpec, shared_partition
 from .qtensor import ModelParams, State
-from .snapshots import emit_series, read_series, read_snapshot, write_csv, write_snapshot
+from .snapshots import SeriesWriter, emit_series, read_series, read_snapshot, write_csv
 from .spectral import Grid
 from .timestepping import BandError, BlowUpError, Perturbation, Trajectory, run, twin_run
 
@@ -69,31 +70,26 @@ def _prepare_run(args: argparse.Namespace) -> tuple[RunConfig, Grid, State, Path
 
 
 def _abort(err: BlowUpError, path: Path) -> int:
-    """Report an aborted run and flush its partial series to path."""
-    print(f"ABORT {err}", file=sys.stderr)
-    if err.partial is not None and len(err.partial[0]) > 0:
-        emit_series(path, *err.partial)
-        print(f"flushed partial series to {path}", file=sys.stderr)
+    """Report an aborted run whose series so far is in path."""
+    print(f"ABORT {err}\nflushed partial series to {path}", file=sys.stderr)
     return 1
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg, grid, init, out = _prepare_run(args)
     (out / "config.cfg").write_text(Path(args.config).read_text())
-    try:
-        traj = run(grid, init, cfg.params, cfg.time,
-                   hs_probes=cfg.hs_probes, state_stride=cfg.snapshot_stride)
-    except BandError as err:
-        raise SystemExit(f"error: {err}")
-    except BlowUpError as err:
-        return _abort(err, out / "series.csv")
-    emit_series(out / "series.csv", traj.times, traj.series)
-    for state in traj.states[:-1]:
-        write_snapshot(out / f"snap_t{state.t:012.6f}.qtns", grid, cfg.params, state)
-    write_snapshot(out / "final.qtns", grid, cfg.params, traj.states[-1])
-    print(f"simulate: {len(traj.times) - 1} steps to t={traj.times[-1]:g}, "
-          f"energy {traj.series['energy'][0]:.6g} -> {traj.series['energy'][-1]:.6g}")
-    print(f"wrote {out / 'series.csv'}")
+    with closing(SeriesWriter(out / "series.csv", grid, cfg.params)) as sink:
+        try:
+            run(grid, init, cfg.params, cfg.time,
+                hs_probes=cfg.hs_probes, state_stride=cfg.snapshot_stride, sink=sink)
+        except BandError as err:
+            raise SystemExit(f"error: {err}")
+        except BlowUpError as err:
+            return _abort(err, sink.path)
+    (_, first), (t, last) = sink.first, sink.last
+    print(f"simulate: {sink.rows - 1} steps to t={t:g}, "
+          f"energy {first['energy']:.6g} -> {last['energy']:.6g}")
+    print(f"wrote {sink.path}")
     return 0
 
 
@@ -102,11 +98,14 @@ def cmd_twin(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: --eps must be a finite number >= 0, got {args.eps}")
     cfg, grid, init, out = _prepare_run(args)
     path = out / f"twin_eps{args.eps:g}_seed{args.seed}.csv"
+    rows = Trajectory(grid, cfg.params)
     try:
-        diff = twin_run(grid, init, Perturbation(args.eps, seed=args.seed), cfg.params, cfg.time)
+        diff = twin_run(grid, init, Perturbation(args.eps, seed=args.seed), cfg.params, cfg.time,
+                        rows)
     except BandError as err:
         raise SystemExit(f"error: {err}")
     except BlowUpError as err:
+        emit_series(path, rows.times, rows.series)
         return _abort(err, path)
     emit_series(path, diff.times, diff.series)
     reports = [checks.uniqueness_check(diff), checks.difference_regularity_check(diff)]

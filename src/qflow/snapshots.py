@@ -1,4 +1,4 @@
-"""Binary state snapshots, full-precision CSV norm series and the CSV writer.
+"""Binary state snapshots, full-precision CSV norm series (also a run's sink) and the CSV writer.
 
 Snapshot layout (little-endian, no padding):
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import struct
 from collections.abc import Iterable
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -73,16 +74,43 @@ def read_snapshot(path: str | Path) -> tuple[Grid, ModelParams, State]:
     return grid, params, state
 
 
+class SeriesWriter:
+    """Writes a series row by row, each a flushed %.17g CSV line; the file and
+    its header `t,<names...>` are made at the first row.  As a run's sink (see
+    timestepping.Trajectory) it also writes the state after k steps next to
+    path, as snap_k<k, 9 digits>.qtns or, the last, final.qtns."""
+
+    def __init__(self, path: Path, grid: Grid | None = None, params: ModelParams | None = None):
+        self.path, self.grid, self.params = Path(path), grid, params
+        self.rows, self.first, self.last, self._fh = 0, None, None, None
+
+    def row(self, t: float, values: dict[str, float]) -> None:
+        if self._fh is None:
+            self._fh = open(self.path, "w", newline="", buffering=1)  # line-buffered
+            self._csv = csv.writer(self._fh, lineterminator="\n")
+            self._csv.writerow(["t", *values])
+        self._csv.writerow([f"{t:.17g}", *(f"{v:.17g}" for v in values.values())])
+        self.rows, self.first, self.last = self.rows + 1, self.first or (t, values), (t, values)
+
+    def state(self, k: int, s: State, last: bool) -> None:
+        name = "final.qtns" if last else f"snap_k{k:09d}.qtns"
+        write_snapshot(self.path.parent / name, self.grid, self.params, s)
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+
+
 def emit_series(path: str | Path, times: np.ndarray, series: dict[str, np.ndarray]) -> None:
     """CSV with header `t,<names...>` at full float64 precision."""
     if len(times) == 0:
         raise ValueError("refusing to write an empty series")
-    names = list(series)
-    for name in names:
-        if len(series[name]) != len(times):
+    for name, column in series.items():
+        if len(column) != len(times):
             raise ValueError(f"series {name!r} length mismatch")
-    write_csv(path, ["t", *names], ([f"{t:.17g}"] + [f"{series[name][i]:.17g}" for name in names]
-                                    for i, t in enumerate(times)))
+    with closing(SeriesWriter(path)) as rows:
+        for i, t in enumerate(times):
+            rows.row(t, {name: column[i] for name, column in series.items()})
 
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable[list[object]]) -> None:

@@ -1,5 +1,5 @@
-"""Time advancement: integrating-factor RK2 stepping, trajectory recording
-and twin-run orchestration for the contraction experiment.
+"""Time advancement: integrating-factor RK2 stepping, the driver loop that
+run() and twin_run() share, and the sinks that take their output.
 
 The stiff dissipative operators (nu*lap for u, gamma*L*lap for Q) are
 integrated exactly in spectral space through the multiplier exp(-c k^2 dt);
@@ -12,12 +12,9 @@ everything else is explicit.  One step of the Heun-type scheme:
 which is exact for vanishing N and second order otherwise.  The state is
 carried between steps as half-spectrum coefficients: a step takes and
 returns (uh, qh), and takes k1 from its caller when the caller has it.
-run() evaluates k1 of each state that a step follows by one call of
-nonlinear(..., planes=True), whose StatePlanes record (the physical u and
-Q and the P(Q) pairings) also feeds that state's probe row, the dt = auto
-step, the snapshots and the energy guard; the final state's record is
-built by qtensor.state_planes.  twin_run() reads every channel from the
-coefficients, and sizes a dt = auto step from member 1's record.
+run() and twin_run() step through one loop, _drive, which hands each probe
+row and stored state to a sink as soon as it is made (a Trajectory, or
+snapshots.SeriesWriter), so an aborted run's output is already in its sink.
 
 The stepping path relies on the state being in the dealias band (every
 mode with max(|k1|, |k2|) <= n/3), where the two-thirds-rule products, and
@@ -27,7 +24,7 @@ step() check the initial state once and mask it; the step keeps it in band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,10 +56,10 @@ class BandError(ValueError):
 class BlowUpError(RuntimeError):
     """Raised when a run leaves the finite/bounded regime.
 
-    Carries the time and diagnostics of the offending step and, when raised
-    from run() or twin_run(), the partial (times, series) recorded before
-    the abort.  Stepper.step does not know the time and raises with t = nan;
-    the loop that owns the clock sets it.
+    Carries the time and diagnostics of the offending step (from run() or
+    twin_run() also steps_completed; the rows so far are in the run's sink).
+    Stepper.step does not know the time and raises with t = nan; the loop
+    that owns the clock sets it.
     """
 
     def __init__(self, message: str, t: float, diagnostics: dict[str, float]):
@@ -70,7 +67,6 @@ class BlowUpError(RuntimeError):
         self.message = message
         self.t = t
         self.diagnostics = diagnostics
-        self.partial: tuple[np.ndarray, dict[str, np.ndarray]] | None = None
 
     def __str__(self) -> str:
         return f"{self.message} at t={self.t:.6g}: {self.diagnostics}"
@@ -104,14 +100,28 @@ class Trajectory:
     """Record of one run: sampled scalar diagnostics plus stored states.
 
     For run() the states are strided snapshots ending with the final one;
-    for twin_run() they are the final states of the two members.
+    for twin_run() they are the final states of the two members.  Built
+    empty, it is the sink that collects a run in lists; arrays() gives the
+    record.  A sink is any object with these row and state methods.
     """
 
     grid: Grid
     params: ModelParams
-    times: np.ndarray
-    series: dict[str, np.ndarray]
+    times: np.ndarray | list[float] = field(default_factory=list)
+    series: dict[str, np.ndarray | list[float]] = field(default_factory=dict)
     states: list[State] = field(default_factory=list)
+
+    def row(self, t: float, values: dict[str, float]) -> None:
+        self.times.append(t)
+        for key, v in values.items():
+            self.series.setdefault(key, []).append(v)
+
+    def state(self, k: int, s: State, last: bool) -> None:
+        self.states.append(s)
+
+    def arrays(self) -> Trajectory:
+        return replace(self, times=np.array(self.times),
+                       series={key: np.array(v) for key, v in self.series.items()})
 
 
 class Stepper:
@@ -262,106 +272,93 @@ def _hs_tag(s: float) -> str:
     return f"{s:g}".replace("-", "m").replace(".", "p")
 
 
-def run(
-    grid: Grid,
-    init: State,
-    p: ModelParams,
-    tc: TimeConfig,
-    hs_probes: tuple[float, ...] = (),
-    state_stride: int = 0,
-) -> Trajectory:
+def run(grid: Grid, init: State, p: ModelParams, tc: TimeConfig,
+        hs_probes: tuple[float, ...] = (), state_stride: int = 0, sink=None) -> Trajectory | None:
     """Advance to t_end recording every diagnostic channel at every step.
 
-    state_stride > 0 stores every stride-th state (plus initial and final);
-    aborting steps flush the partial series into the raised error.  Each
+    state_stride > 0 stores every stride-th state (plus initial and final).
+    Each row and stored state goes to sink (see Trajectory) as it is made;
+    without a sink, run returns the Trajectory it collects.  Each
     state that a step follows gets its record and k1 from one nonlinear
     call; row 0, the first auto step and the first stored state read
     init's own physical planes.
     """
     part = shared_partition(grid)
-    stepper = Stepper(grid, p, tc)
-    uh, qh = _band_limited(grid, init)
-    times: list[float] = []
-    rows: list[dict[str, float]] = []
-    states: list[State] = []
-    t, k = init.t, 0
-    t_final = init.t + tc.t_end
-    while True:
-        last = t >= t_final - 1e-12
+    traj = Trajectory(grid, p) if sink is None else sink
+
+    def observe(k: int, t: float, last: bool, members: list) -> tuple:
+        uh, qh = members[0]
+        k1 = None
         if last:
-            rec = state_planes(grid, uh, qh, p)
+            planes = state_planes(grid, uh, qh, p)
         else:
-            *k1, rec = nonlinear(grid, uh, qh, p, planes=True)
-        s = init.copy() if k == 0 else State(rec.u, rec.q, t)
-        rec.u, rec.q = s.u, s.q  # for row 0, init's own planes
-        times.append(t)
-        rows.append(standard_probes(grid, part, rec, uh, qh, p, hs_probes))
-        e0 = max(rows[0]["energy"], 1e-300)
-        _guard_energy(rows[-1]["energy"], e0, t, times, rows)
-        if k == 0 or last or (state_stride > 0 and k % state_stride == 0):
-            states.append(s)
-        if last:
-            break
-        dt, t = _next_step(stepper, rec, t, init.t, k, t_final, times, rows)
-        del rec, s  # keep stage 2's and the next stage 1's peaks free of these planes
-        try:
-            uh, qh = stepper.step(uh, qh, dt, k1)
-        except BlowUpError as err:
-            raise _flush(err, t, times, rows)
-        del k1
-        k += 1
+            *k1, planes = nonlinear(grid, uh, qh, p, planes=True)
+        s = init.copy() if k == 0 else State(planes.u, planes.q, t)
+        planes.u, planes.q = s.u, s.q  # for row 0, init's own planes
+        row = standard_probes(grid, part, planes, uh, qh, p, hs_probes)
+        stored = k == 0 or last or (state_stride > 0 and k % state_stride == 0)
+        return row, [row["energy"]], planes, k1, [s] if stored else []
 
-    return Trajectory(grid, p, np.array(times), _columns(rows), states)
+    _drive(Stepper(grid, p, tc), [_band_limited(grid, init)], init.t, traj, observe)
+    return traj.arrays() if sink is None else None
 
 
-def _next_step(stepper: Stepper, s: State | StatePlanes, t: float, t0: float, k: int,
-               t_final: float, times: list[float], rows: list[dict[str, float]]
-               ) -> tuple[float, float]:
-    """Size and end time of the step from time t, after k steps from t0.
+def _drive(stepper: Stepper, members: list[tuple[np.ndarray, np.ndarray]], t0: float,
+           sink, observe) -> None:
+    """The loop of run() and twin_run(): steps the members' (uh, qh) from t0
+    to t_final = t0 + t_end.
 
-    s holds the physical planes of the state at t; only dt = "auto" reads
-    it.  A fixed dt ends step k+1 at t0 + (k+1) dt rather than at a running
-    float sum.  A step that would pass t_final (beyond a 1e-12 slack) is
-    shortened to end there, and one that ends within the slack ends exactly
-    on t_final.  A run that would need more than MAX_STEPS steps at this dt
-    aborts, flushing the series so far.
+    observe(k, t, last, members) gives, after k steps: the probe row, each
+    member's energy, the planes that size a dt = "auto" step, member 1's k1
+    (or None) and the states to store.  sink.state(k, s, last) gets each
+    state (last marks the final one) before sink.row(t, row).  A fixed dt
+    ends step k+1 at t0 + (k+1) dt rather than at a running float sum; a
+    step that would pass t_final (beyond a 1e-12 slack) is shortened to end
+    there, and one that ends within the slack ends exactly on t_final.  A
+    member's energy above ENERGY_GUARD times its row-0 value aborts after
+    the row, without its states; so do a non-finite step and a run whose
+    steps taken plus the remaining time over dt exceed MAX_STEPS.  Each
+    abort carries its time and steps_completed.
     """
-    if stepper.tc.dt == "auto":
-        dt = min(stepper.auto_dt(s), t_final - t)
-        t_next = t + dt
-    else:
-        dt = float(stepper.tc.dt)
-        t_next = t0 + (k + 1) * dt
-        if t_next > t_final + 1e-12:
-            dt, t_next = t_final - t, t_final
-        elif t_next > t_final - 1e-12:
-            t_next = t_final
-    steps = k + (t_final - 1e-12 - t) / dt
-    if steps > MAX_STEPS:
-        raise _flush(BlowUpError(f"run needs more than MAX_STEPS = {MAX_STEPS:.0e} steps", t,
-                                 {"dt": dt, "steps": steps}), t, times, rows)
-    return dt, t_next
-
-
-def _guard_energy(energy: float, e0: float, t: float,
-                  times: list[float], rows: list[dict[str, float]], **tags: float) -> None:
-    """Abort, flushing the series so far, once energy exceeds ENERGY_GUARD times e0."""
-    if energy > ENERGY_GUARD * e0:
-        raise _flush(BlowUpError("energy guard tripped", t,
-                                 {"energy": energy, "energy0": e0, **tags}), t, times, rows)
-
-
-def _columns(rows: list[dict[str, float]]) -> dict[str, np.ndarray]:
-    return {key: np.array([r[key] for r in rows]) for key in rows[0]}
-
-
-def _flush(err: BlowUpError, t: float, times: list[float], rows: list[dict[str, float]]
-           ) -> BlowUpError:
-    """Stamp the abort time t and attach the series recorded before it to the error."""
-    err.t = t
-    err.diagnostics["steps_completed"] = float(len(times) - 1)
-    err.partial = (np.array(times), _columns(rows))
-    return err
+    t, k, e0, t_final = t0, 0, [], t0 + stepper.tc.t_end
+    fixed = None if stepper.tc.dt == "auto" else float(stepper.tc.dt)
+    try:
+        while True:
+            last = t >= t_final - 1e-12
+            row, energy, planes, k1, states = observe(k, t, last, members)
+            e0 = e0 or [max(e, 1e-300) for e in energy]
+            over = [m for m, e in enumerate(energy) if e > ENERGY_GUARD * e0[m]]
+            for s in [] if over else states:
+                sink.state(k, s, last)
+            sink.row(t, row)
+            if over:
+                tag = {"member": over[0] + 1.0} if len(e0) > 1 else {}
+                raise BlowUpError("energy guard tripped", t, {
+                    "energy": energy[over[0]], "energy0": e0[over[0]], **tag})
+            if last:
+                return
+            if fixed is None:
+                dt = min(stepper.auto_dt(planes), t_final - t)
+                t_next = t + dt
+            else:
+                dt, t_next = fixed, t0 + (k + 1) * fixed
+                if t_next > t_final + 1e-12:
+                    dt, t_next = t_final - t, t_final
+                elif t_next > t_final - 1e-12:
+                    t_next = t_final
+            steps = k + (t_final - 1e-12 - t) / dt
+            if steps > MAX_STEPS:
+                raise BlowUpError(f"run needs more than MAX_STEPS = {MAX_STEPS:.0e} steps", t,
+                                  {"dt": dt, "steps": steps})
+            del planes, states  # keep stage 2's and the next stage 1's peaks free of these planes
+            t = t_next
+            for i in range(len(members)):
+                members[i] = stepper.step(*members[i], dt, k1 if i == 0 else None)
+            del k1
+            k += 1
+    except BlowUpError as err:
+        err.t, err.diagnostics["steps_completed"] = t, float(k)
+        raise
 
 
 # -- twin runs --------------------------------------------------------------------
@@ -387,13 +384,8 @@ class Perturbation:
         return State(s.u + self.eps * du, s.q + self.eps * dq, s.t)
 
 
-def twin_run(
-    grid: Grid,
-    init: State,
-    perturb: Perturbation,
-    p: ModelParams,
-    tc: TimeConfig,
-) -> Trajectory:
+def twin_run(grid: Grid, init: State, perturb: Perturbation, p: ModelParams, tc: TimeConfig,
+             sink: Trajectory | None = None) -> Trajectory:
     """Evolve the state and its perturbed twin under identical stepping.
 
     Records the contraction functional Phi(t) = 1/2 ||du||^2_{H^-1/2}
@@ -401,8 +393,8 @@ def twin_run(
     norms entering the Gronwall majorant, and the empirical rate
     chi = Phi'/Phi wherever Phi > 0.  The record's states are the two
     members' final states.  Either member's energy passing ENERGY_GUARD
-    times its initial value aborts the run, as in run(); an aborting step
-    flushes the partial series into the raised error.
+    times its initial value aborts the run, as in run().  chi needs the
+    whole Phi series, so the sink is always a Trajectory (an empty one by default).
 
     The members are carried as half-spectrum coefficients and every channel
     is read from them, so a probe row transforms nothing.  A dt = "auto"
@@ -412,39 +404,23 @@ def twin_run(
     """
     g = grid
     w = shared_partition(g).sobolev_weight(-0.5)
-    stepper = Stepper(g, p, tc)
-    auto = tc.dt == "auto"
-    a = _band_limited(g, init)
-    b = _band_limited(g, perturb.apply(g, init), "perturbed initial state")
+    traj = Trajectory(g, p) if sink is None else sink
+    members = [_band_limited(g, init),
+               _band_limited(g, perturb.apply(g, init), "perturbed initial state")]
 
-    t = init.t
-    times = [t]
-    rows = [_twin_probes(g, w, a, b, p)]
-    e0 = [max(_member_energy(rows[0], m, p), 1e-300) for m in (1, 2)]
-    t_final = init.t + tc.t_end
-    k = 0
-    while t < t_final - 1e-12:
-        k1, member1 = None, init  # member 1's k1 and planes, made only for dt = "auto"
-        if auto and k > 0:
-            *k1, member1 = nonlinear(g, *a, p, planes=True)
-        dt, t = _next_step(stepper, member1, t, init.t, k, t_final, times, rows)
-        del member1
-        try:
-            a = stepper.step(*a, dt, k1)
-            b = stepper.step(*b, dt)
-        except BlowUpError as err:
-            raise _flush(err, t, times, rows)
-        k += 1
-        times.append(t)
-        row = _twin_probes(g, w, a, b, p)
-        rows.append(row)
-        for m, e0_m in zip((1, 2), e0):
-            _guard_energy(_member_energy(row, m, p), e0_m, t, times, rows, member=float(m))
+    def observe(k: int, t: float, last: bool, members: list) -> tuple:
+        k1, planes = None, init  # member 1's k1 and planes, made only for dt = "auto"
+        if tc.dt == "auto" and k > 0 and not last:
+            *k1, planes = nonlinear(g, *members[0], p, planes=True)
+        row = _twin_probes(g, w, *members, p)
+        finals = [State(g.irfft(uh), g.irfft(qh), t) for uh, qh in members] if last else []
+        energy = [row[f"u{m}_l22"] + row[f"q{m}_l22"] + p.L * row[f"gq{m}_l22"] for m in (1, 2)]
+        return row, energy, planes, k1, finals
 
-    series = _columns(rows)
-    series["chi"] = _log_derivative(np.array(times), series["phi"])
-    finals = [State(g.irfft(uh), g.irfft(qh), t) for uh, qh in (a, b)]
-    return Trajectory(g, p, np.array(times), series, finals)
+    _drive(Stepper(g, p, tc), members, init.t, traj, observe)
+    traj = traj.arrays()
+    traj.series["chi"] = _log_derivative(traj.times, traj.series["phi"])
+    return traj
 
 
 def _twin_probes(grid: Grid, w: np.ndarray, a: tuple[np.ndarray, np.ndarray],
@@ -477,11 +453,6 @@ def _twin_probes(grid: Grid, w: np.ndarray, a: tuple[np.ndarray, np.ndarray],
         out[f"gq{tag}_l22"] = _weighted(pq, g.ksq)
         out[f"lq{tag}_l22"] = _weighted(pq, g.ksq**2)
     return out
-
-
-def _member_energy(row: dict[str, float], m: int, p: ModelParams) -> float:
-    """Energy of twin member m (1 or 2) from its probe columns, as in run()."""
-    return row[f"u{m}_l22"] + row[f"q{m}_l22"] + p.L * row[f"gq{m}_l22"]
 
 
 def _log_derivative(t: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -4,8 +4,10 @@ import math
 import os
 import platform
 import re
+import signal
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -328,6 +330,86 @@ def test_cli_simulate_aborts_auto_dt_run_past_max_steps(tmp_path):
     assert f"ABORT run needs more than MAX_STEPS = {MAX_STEPS:.0e} steps at t=0" in res.stderr
     times, series = read_series(out / "series.csv")
     assert list(times) == [0.0] and series["max_u"][0] > 1e7
+
+
+def test_cli_snapshots_named_by_step(tmp_path, capsys):
+    # stored times 0, 1e-7, ..., 4e-7 agree to 6 decimals; a name made from
+    # the time kept one file of the five, a name made from the step keeps all
+    cfg = tmp_path / "r.cfg"
+    out = tmp_path / "out"
+    text = full_config(out, n=16, extra="snapshot_stride = 1\n").replace("kmax = 6", "kmax = 4")
+    cfg.write_text(text.replace("dt = 0.005", "dt = 1e-7").replace("t_end = 0.05", "t_end = 5e-7"))
+    assert main(["simulate", str(cfg)]) == 0
+    times, _ = read_series(out / "series.csv")
+    assert len(times) == 6
+    names = sorted(p.name for p in out.glob("snap_*.qtns"))
+    assert names == [f"snap_k{k:09d}.qtns" for k in range(5)]
+    for k, name in enumerate(names):
+        assert read_snapshot(out / name)[2].t == times[k]
+        capsys.readouterr()
+        assert main(["norms", str(out / name)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"t={times[k]:.17g}"
+    assert read_snapshot(out / "final.qtns")[2].t == times[-1]
+
+
+def test_cli_killed_run_keeps_its_output(tmp_path):
+    # rows and snapshots leave the run as it makes them: a run killed part-way
+    # leaves a readable series prefix and every snapshot that prefix took
+    cfg = tmp_path / "r.cfg"
+    out = tmp_path / "out"
+    stride = 2
+    text = full_config(out, n=16, extra=f"snapshot_stride = {stride}\n").replace("kmax = 6", "kmax = 4")
+    cfg.write_text(text.replace("dt = 0.005", "dt = 1e-4").replace("t_end = 0.05", "t_end = 100.0"))
+    series = out / "series.csv"
+    proc = subprocess.Popen([sys.executable, "-m", "qflow.cli", "simulate", str(cfg)],
+                            env=_src_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (series.exists() and series.read_text().count("\n") >= 4):
+            assert proc.poll() is None, "the run ended before it was killed"
+            assert time.monotonic() < deadline, "no 3 rows within 60 s"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    times, cols = read_series(series)
+    assert len(times) >= 3 and np.all(np.isfinite(cols["energy"]))
+    for k in range(0, len(times), stride):
+        _, _, state = read_snapshot(out / f"snap_k{k:09d}.qtns")
+        assert state.t == times[k]
+    assert not (out / "final.qtns").exists()
+
+
+def test_cli_simulate_memory_flat_in_steps(tmp_path):
+    # no row or state is held for the end of the run: the traced peak of a
+    # run of 4N steps is that of N steps (the parent held 1.5 kB per step)
+    import contextlib
+    import io
+    import tracemalloc
+
+    cfg = tmp_path / "r.cfg"
+    text = full_config(tmp_path / "out", n=8, extra="probes = hs:0.5\n").replace("kmax = 6", "kmax = 2")
+
+    def simulate(steps: int) -> None:
+        cfg.write_text(text.replace("dt = 0.005", "dt = 0.001").replace(
+            "t_end = 0.05", f"t_end = {steps * 0.001!r}"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", str(cfg)]) == 0
+
+    simulate(3)  # caches and imports outside the measurement
+    peaks = []
+    tracemalloc.start()
+    try:
+        for steps in (200, 800):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            simulate(steps)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def restart_config(tmp_path, snap, grid_lines):

@@ -124,10 +124,15 @@ def test_blow_up_detection(grid, monkeypatch):
     p = params(a=-5.0, b=0.0, c=0.01, gamma=2.0)
     init = smooth_state(grid, amp_u=0.0, amp_q=0.2)
     monkeypatch.setattr(timestepping, "ENERGY_GUARD", 2.0)
+    rec = Trajectory(grid, p)
     with pytest.raises(BlowUpError, match="energy guard") as info:
-        run(grid, init, p, TimeConfig(dt=5e-3, t_end=3.0))
-    times, series = info.value.partial  # partial output flushed into the abort
+        run(grid, init, p, TimeConfig(dt=5e-3, t_end=3.0), sink=rec)
+    part = rec.arrays()  # the rows up to the abort are in the caller's sink
+    times, series = part.times, part.series
     assert len(times) >= 2 and len(series["energy"]) == len(times)
+    # the row that trips the guard is the last one handed over, and the abort names it
+    assert info.value.t == times[-1] and info.value.diagnostics["steps_completed"] == len(times) - 1
+    assert series["energy"][-1] > 2.0 * series["energy"][0] >= series["energy"][-2]
 
 
 def upsample(gs: Grid, f: np.ndarray, gb: Grid) -> np.ndarray:
@@ -203,26 +208,31 @@ def test_twin_abort_flushes_partial_series(monkeypatch):
     g = Grid(16)
     init = smooth_state(g, amp_u=0.5, amp_q=2.0, kmax=4)
     p = params(a=-5.0, b=0.0, c=1.0, gamma=2.0)
+    rec = Trajectory(g, p)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(BlowUpError, match="non-finite") as info:
-        twin_run(g, init, Perturbation(1e-3, seed=1), p, TimeConfig(dt=2.0, t_end=200.0))
-    times, series = info.value.partial
+        twin_run(g, init, Perturbation(1e-3, seed=1), p, TimeConfig(dt=2.0, t_end=200.0), rec)
+    part = rec.arrays()
+    times, series = part.times, part.series
     assert len(times) >= 1 and len(series["phi"]) == len(times)
     assert info.value.diagnostics["steps_completed"] == len(times) - 1
 
 
 def test_twin_energy_guard_flushes_partial_series(grid, monkeypatch):
-    # the guard of run() applies to each twin member; the abort carries the series
+    # the guard of run() applies to each twin member; the caller's sink keeps the series
     monkeypatch.setattr(timestepping, "ENERGY_GUARD", 2.0)
     p = params(a=-5.0, b=0.0, c=0.01, gamma=2.0)
     init = smooth_state(grid, amp_u=0.0, amp_q=0.2)
+    rec = Trajectory(grid, p)
     with pytest.raises(BlowUpError, match="energy guard") as info:
-        twin_run(grid, init, Perturbation(1e-3, seed=1), p, TimeConfig(dt=5e-3, t_end=3.0))
-    times, series = info.value.partial
+        twin_run(grid, init, Perturbation(1e-3, seed=1), p, TimeConfig(dt=5e-3, t_end=3.0), rec)
+    part = rec.arrays()
+    times, series = part.times, part.series
     assert len(times) >= 2 and len(series["phi"]) == len(times)
     assert info.value.diagnostics["member"] in (1.0, 2.0)
     energy = series["u1_l22"] + series["q1_l22"] + p.L * series["gq1_l22"]
     assert energy[-1] > 2.0 * energy[0] >= energy[-2]
+    assert info.value.t == times[-1] and info.value.diagnostics["steps_completed"] == len(times) - 1
 
 
 def test_fixed_dt_time_is_not_a_float_sum(grid):
@@ -455,9 +465,10 @@ def test_non_finite_step_reports_input_state(monkeypatch):
         assert np.isnan(err.t)
         assert err.diagnostics == {"max_u": np.abs(g.irfft(uh)).max(),
                                    "max_q": np.abs(g.irfft(qh)).max(), "dt": 2.0}
+        rec = Trajectory(g, p)
         with pytest.raises(BlowUpError, match="non-finite") as info:
-            run(g, init, p, TimeConfig(dt=2.0, t_end=400.0))
-    times, _ = info.value.partial
+            run(g, init, p, TimeConfig(dt=2.0, t_end=400.0), sink=rec)
+    times = rec.arrays().times
     assert len(times) == k + 1 and info.value.t == 2.0 * (k + 1)
     assert info.value.diagnostics["max_u"] == err.diagnostics["max_u"]
 
