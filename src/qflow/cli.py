@@ -96,6 +96,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_twin(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.eps) and args.eps >= 0):
         raise SystemExit(f"error: --eps must be a finite number >= 0, got {args.eps}")
+    if args.seed < 0:
+        raise SystemExit(f"error: --seed must be >= 0, got {args.seed}")
     cfg, grid, init, out = _prepare_run(args)
     path = out / f"twin_eps{args.eps:g}_seed{args.seed}.csv"
     rows = Trajectory(grid, cfg.params)
@@ -165,6 +167,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     trials, seed = args.trials, args.seed
     if trials < 1:
         raise SystemExit(f"error: --trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise SystemExit(f"error: --seed must be >= 0, got {seed}")
     registry = {
         "partition": lambda: checks.partition_unity_check(grid),
         "bony": lambda: checks.bony_check(grid, trials, seed),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qtensor import S0_BASIS
+from .qtensor import mat_mul, q_to_mat
 from .spectral import Grid, random_scalar
 
 
@@ -106,17 +106,8 @@ class DyadicPartition:
             self._weights[s] = w
         return w
 
-    def hs_inner(self, f: np.ndarray, g: np.ndarray, s: float) -> float:
-        """<f, g>_{H^s} = sum_q 2^(2qs) <block_q f, block_q g>_{L^2}.
-
-        The symmetric bilinear form whose induced norm is besov_norm(., (s,2,2)).
-        """
-        return self.grid.inner_hat(self.grid.rfft(f), self.grid.rfft(g), self.sobolev_weight(s))
-
-    def hs_norm2(self, f: np.ndarray, s: float) -> float:
-        return max(self.hs_inner(f, f, s), 0.0)
-
     def hs_norm2_hat(self, fh: np.ndarray, s: float) -> float:
+        """||f||_{H^s}^2 = sum_q 2^(2qs) ||block_q f||_{L^2}^2 from fh = rfft(f)."""
         return max(self.grid.inner_hat(fh, fh, self.sobolev_weight(s)), 0.0)
 
     def besov_norm(self, f: np.ndarray, spec: NormSpec) -> float:
@@ -197,7 +188,7 @@ class SymDecompContext:
         self.part = part
         a, b = g.zero_mean(a), g.zero_mean(b)
         ah, self.bh = g.rfft(a), g.rfft(b)
-        self.ab_hat = g.rfft(_matmul(_dense(a), _dense(b)))
+        self.ab_hat = g.rfft(mat_mul(q_to_mat(a), q_to_mat(b)))
         block_a = {q: g.irfft(part.phi[q] * ah) for q in part.qs}
         block_b = {q: g.irfft(part.phi[q] * self.bh) for q in part.qs}
         # a J1 window [lo, hi] and a J4 start lo read the running sums over
@@ -213,14 +204,14 @@ class SymDecompContext:
         for q in part.qs:
             if q >= part.q_min + 2:
                 sa = sa + block_a[q - 2]
-                low = _dense(sa)
+                low = q_to_mat(sa)
             if q < part.q_max:  # S_{q+2}B sums the blocks up to q + 1
                 sb = sb + block_b[q + 1]
-                high = _dense(sb)
+                high = q_to_mat(sb)
             self.low_a[q] = low
-            self.j3[q] = p = _matmul(low, _dense(block_b[q]))
+            self.j3[q] = p = mat_mul(low, q_to_mat(block_b[q]))
             sum_p = sum_p + p
-            sum_r = sum_r + _matmul(_dense(block_a[q]), high)
+            sum_r = sum_r + mat_mul(q_to_mat(block_a[q]), high)
             if q in ends:
                 at[q] = sum_p, sum_r
         del block_a, block_b, sa, sb, sum_p, sum_r
@@ -244,26 +235,16 @@ class SymDecompContext:
                 dd = g.irfft(part.phi[q] * part.phi[qp] * self.bh)
             if qp > q:
                 self._pair[q, qp] = dd
-            m = _matmul(self.low_a[qp], _dense(dd))
+            m = mat_mul(self.low_a[qp], q_to_mat(dd))
             j1 -= m
             if qp != q:
                 m_off, dd_off = m_off + m, dd_off + dd
-        j2 = m_off - _matmul(self.low_a[q], _dense(dd_off))
+        j2 = m_off - mat_mul(self.low_a[q], q_to_mat(dd_off))
         return j1, j2, self.j3[q], j4
 
     def block_product(self, q: int) -> np.ndarray:
         """block_q(AB), the left-hand side of the reconstruction identity."""
         return self.grid.irfft(self.part.phi[q] * self.ab_hat)
-
-
-def _dense(x: np.ndarray) -> np.ndarray:
-    """Expand S0 planes (5, n, n) to matrix entries (3, 3, n, n) by one fixed (9, 5) GEMM."""
-    return (S0_BASIS.reshape(5, 9).T @ x.reshape(5, -1)).reshape((3, 3) + x.shape[1:])
-
-
-def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pointwise matrix product over the two leading axes."""
-    return np.einsum("ik...,kj...->ij...", x, y)
 
 
 def _lr_norm(part: DyadicPartition, fh: np.ndarray, spec: NormSpec,
@@ -340,10 +321,9 @@ def product_estimate_sample(
     for i in range(trials):
         a = random_scalar(g, rng, decay=0.0)
         b = random_scalar(g, rng, decay=0.0)
-        na = math.sqrt(part.hs_norm2(a, s))
-        nb = math.sqrt(part.hs_norm2(b, t))
-        ab = g.zero_mean(a * b)
-        nab = math.sqrt(part.hs_norm2(ab, s + t - 1.0))
+        na = math.sqrt(part.hs_norm2_hat(g.rfft(a), s))
+        nb = math.sqrt(part.hs_norm2_hat(g.rfft(b), t))
+        nab = math.sqrt(part.hs_norm2_hat(g.rfft(g.zero_mean(a * b)), s + t - 1.0))
         ratios[i] = nab / (na * nb) if na * nb > 0 else 0.0
     return {
         "max": float(ratios.max()),

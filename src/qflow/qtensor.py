@@ -43,17 +43,22 @@ S0_BASIS = np.array(
 
 
 def q_to_mat(q: np.ndarray) -> np.ndarray:
-    """Expand basis planes (5, n, n) into dense matrices (n, n, 3, 3)."""
-    return np.einsum("aij,axy->xyij", S0_BASIS, q)
+    """Expand basis planes (5, n, n) into matrix entries (3, 3, n, n) by one fixed (9, 5) GEMM."""
+    return (S0_BASIS.reshape(5, 9).T @ q.reshape(5, -1)).reshape((3, 3) + q.shape[1:])
 
 
 def mat_to_q(m: np.ndarray) -> np.ndarray:
-    """Project dense matrices (n, n, 3, 3) onto the basis planes (5, n, n).
+    """Project matrix entries (3, 3, n, n) onto the basis planes (5, n, n), the transpose GEMM.
 
     The projection discards any trace or antisymmetric part, so the result
     is the nearest S0 field in the Frobenius sense.
     """
-    return np.einsum("aij,xyij->axy", S0_BASIS, m)
+    return (S0_BASIS.reshape(5, 9) @ m.reshape(9, -1)).reshape((5,) + m.shape[2:])
+
+
+def mat_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pointwise matrix product of (3, 3, ...) fields over the two leading axes."""
+    return np.einsum("ik...,kj...->ij...", x, y)
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,7 @@ class State:
 # -- pointwise S0 algebra in closed form ------------------------------------------
 #
 # In the E basis every pointwise product the model needs is a fixed bilinear
-# map of coefficient planes; the dense (n, n, 3, 3) expansion through
+# map of coefficient planes; the dense (3, 3, n, n) expansion through
 # q_to_mat / vorticity_mat is kept only as an independent oracle.
 
 
@@ -105,7 +110,7 @@ def trace_q2(q: np.ndarray) -> np.ndarray:
 def trace_q3(q: np.ndarray) -> np.ndarray:
     """Pointwise tr(Q^3) via dense matrix products."""
     m = q_to_mat(q)
-    return np.trace(m @ m @ m, axis1=-2, axis2=-1)
+    return np.trace(mat_mul(mat_mul(m, m), m))
 
 
 def s0_square(q: np.ndarray) -> np.ndarray:
@@ -169,20 +174,16 @@ def random_qtensor(
 
 
 def velocity_gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Embedded 3x3 gradient field G_{ij} = d_i u_j, shape (n, n, 3, 3)."""
-    n = grid.n
-    uh = grid.rfft(u)
-    g = np.zeros((n, n, 3, 3))
-    for j in range(2):
-        g[..., 0, j] = grid.irfft(grid.deriv_hat(uh[j], 1))
-        g[..., 1, j] = grid.irfft(grid.deriv_hat(uh[j], 2))
+    """Embedded 3x3 gradient field G_{ij} = d_i u_j, shape (3, 3, n, n)."""
+    g = np.zeros((3, 3) + u.shape[1:])
+    g[:2, :2] = grid.gradient(grid.rfft(u))
     return g
 
 
 def vorticity_mat(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Antisymmetric part Omega = (grad u - grad u^T)/2 as a 3x3 field."""
     g = velocity_gradient(grid, u)
-    return 0.5 * (g - np.swapaxes(g, -1, -2))
+    return 0.5 * (g - g.swapaxes(0, 1))
 
 
 # -- model terms ---------------------------------------------------------------
@@ -222,8 +223,8 @@ def corotation(grid: Grid, q: np.ndarray, u: np.ndarray, dealias: bool = True) -
 
 def advect(grid: Grid, u: np.ndarray, f: np.ndarray, dealias: bool = True) -> np.ndarray:
     """Transport term u . grad f for a field of any component count."""
-    fh = grid.rfft(f)
-    out = u[0] * grid.irfft(grid.deriv_hat(fh, 1)) + u[1] * grid.irfft(grid.deriv_hat(fh, 2))
+    df = grid.gradient(grid.rfft(f))
+    out = u[0] * df[0] + u[1] * df[1]
     return grid.dealias(out) if dealias else out
 
 
@@ -244,7 +245,7 @@ def _termwise_stress_planes(grid: Grid, q: np.ndarray) -> np.ndarray:
     """_stress_planes of Q, transforming its own derivative planes."""
     qh = grid.rfft(q)
     return _stress_planes(np.empty((4,) + q.shape[1:]), q, grid.irfft(grid.laplacian_hat(qh)),
-                          grid.irfft(grid.deriv_hat(qh, 1)), grid.irfft(grid.deriv_hat(qh, 2)))
+                          *grid.gradient(qh))
 
 
 def _stress_div_hat(grid: Grid, sh: np.ndarray) -> np.ndarray:
@@ -278,18 +279,6 @@ def elastic_stress_div(grid: Grid, q: np.ndarray, p: ModelParams) -> np.ndarray:
     """
     sh = grid.dealias_mask * grid.rfft(_termwise_stress_planes(grid, q))
     return p.L * grid.irfft(_stress_div_hat(grid, sh))
-
-
-def _gradient_planes(grid: Grid, fh: np.ndarray, ik: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Physical (d1 f, d2 f) from the in-band coefficients fh, in one batched transform.
-
-    The spectral products are written straight into the transform's input
-    buffer, so no stacked copy is made.
-    """
-    buf = np.empty((2,) + fh.shape, dtype=complex)
-    np.multiply(ik[0], fh, out=buf[0])
-    np.multiply(ik[1], fh, out=buf[1])
-    return grid.irfft(buf)
 
 
 #: The lap Q planes that (Q lapQ - lapQ Q)_12 reads: E1, E3, E4, E5, not E2.
@@ -409,11 +398,10 @@ def nonlinear(
     """
     g = grid
     uh_cut = uh if p.n_cutoff is None else g.freq_cutoff_hat(uh, p.n_cutoff)
-    ik = (1j * g.k1, 1j * g.k2)
     u = g.irfft(uh_cut)
     q = g.irfft(qh)
-    dq = _gradient_planes(g, qh, ik)
-    omega = g.irfft(ik[0] * uh_cut[1] - ik[1] * uh_cut[0])
+    dq = g.gradient(qh)
+    omega = g.irfft(g.deriv_hat(uh_cut[1], 1) - g.deriv_hat(uh_cut[0], 2))
     lap = g.irfft(g.laplacian_hat(qh[_COMMUTATOR_PLANES]))
     n_uh = _momentum_hat(g, u, omega, q, lap, dq, p)
     bulk = _bulk_products(g, q, p)

@@ -10,7 +10,8 @@ Snapshot layout (little-endian, no padding):
     params  6*f64  a, b, c, gamma, nu, L
     body    (2 + 5) * n*n * f64  u planes then Q planes, row-major
 
-Round trips are byte-exact; reads validate the magic, version, length and
+Round trips are byte-exact; reads validate the magic, version, length, the
+grid and parameters of the header, the finiteness of time and body, and
 the spectral divergence of u.
 """
 
@@ -65,8 +66,12 @@ def read_snapshot(path: str | Path) -> tuple[Grid, ModelParams, State]:
         raise SnapshotError(f"{path}: trailing bytes ({len(raw) - expected})")
 
     planes = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(7, n, n).copy()
-    grid = Grid(n, length)
-    params = ModelParams(a=a, b=b, c=c, gamma=gamma, nu=nu, L=ell)
+    try:
+        grid, params = Grid(n, length), ModelParams(a=a, b=b, c=c, gamma=gamma, nu=nu, L=ell)
+    except ValueError as err:
+        raise SnapshotError(f"{path}: {err}") from None
+    if not (np.isfinite(planes).all() and np.isfinite(time)):
+        raise SnapshotError(f"{path}: non-finite time or field values")
     state = State(planes[:2], planes[2:], time)
     resid = grid.divergence_residual(grid.rfft(state.u))
     if resid > DIV_TOL:

@@ -141,6 +141,16 @@ class Grid:
         _in_place(scipy.fft.ifft, kept, self.workers)
         return scipy.fft.irfftn(buf, s=(self.n,), axes=(-1,), workers=self.workers)
 
+    def gradient(self, fh: np.ndarray) -> np.ndarray:
+        """Physical (d1 f, d2 f), shape (2,) + f.shape, from fh = rfft(f) in one batched irfft.
+
+        The products i k fh are written straight into the transform's input buffer.
+        """
+        buf = np.empty((2,) + fh.shape, dtype=complex)
+        np.multiply(1j * self.k1, fh, out=buf[0])
+        np.multiply(1j * self.k2, fh, out=buf[1])
+        return self.irfft(buf)
+
     # -- pointwise lattice data --------------------------------------------
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -189,9 +199,6 @@ class Grid:
 
     # -- real-space convenience wrappers -------------------------------------
 
-    def deriv(self, f: np.ndarray, axis: int) -> np.ndarray:
-        return self.irfft(self.deriv_hat(self.rfft(f), axis))
-
     def laplacian(self, f: np.ndarray) -> np.ndarray:
         return self.irfft(self.laplacian_hat(self.rfft(f)))
 
@@ -200,13 +207,6 @@ class Grid:
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
         return self.irfft(self.rfft(f, band=True))
-
-    def freq_cutoff(self, f: np.ndarray, m: int) -> np.ndarray:
-        return self.irfft(self.freq_cutoff_hat(self.rfft(f), m))
-
-    def grad(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        fh = self.rfft(f)
-        return self.irfft(self.deriv_hat(fh, 1)), self.irfft(self.deriv_hat(fh, 2))
 
     def zero_mean(self, f: np.ndarray) -> np.ndarray:
         return f - f.mean(axis=(-2, -1), keepdims=True)
@@ -241,7 +241,9 @@ class Grid:
         """L^2 pairing of real fields from their half-spectrum coefficients.
 
         The Parseval weight counts each interior column twice, once for its
-        conjugate partner; an optional multiplier must be even in k.
+        conjugate partner; an optional multiplier must be even in k.  With
+        an H^s weight table, DyadicPartition.sobolev_weight(s) or
+        (1 + ksq)**s, it is the H^s pairing.
         """
         w = self.cell_area / self.n**2
         prod = (fh * gh.conj()).real * self.parseval
@@ -259,14 +261,6 @@ class Grid:
         """
         return (self._mag2(fh.real) + self._mag2(fh.imag)) * (
             self.parseval * (self.cell_area / self.n**2))
-
-    def sobolev_multiplier_norm(self, fh: np.ndarray, s: float, homogeneous: bool = True) -> float:
-        """Direct-multiplier Sobolev norm: weight |k|^(2s) or (1+|k|^2)^s."""
-        if homogeneous:
-            weight = np.where(self.ksq == 0.0, 0.0, self.ksq**s)
-        else:
-            weight = (1.0 + self.ksq) ** s
-        return float(np.sqrt(max(self.inner_hat(fh, fh, weight), 0.0)))
 
     def divergence_residual(self, vh: np.ndarray) -> float:
         """max_k |k . v_hat(k)| relative to the coefficient magnitude."""

@@ -18,8 +18,8 @@ snapshots.SeriesWriter), so an aborted run's output is already in its sink.
 
 The stepping path relies on the state being in the dealias band (every
 mode with max(|k1|, |k2|) <= n/3), where the two-thirds-rule products, and
-so the vorticity form of the advection, are exact.  run(), twin_run() and
-step() check the initial state once and mask it; the step keeps it in band.
+so the vorticity form of the advection, are exact.  run() and twin_run()
+check the initial state once and mask it; the step keeps it in band.
 """
 
 from __future__ import annotations
@@ -179,18 +179,6 @@ class Stepper:
                  "max_q": float(np.abs(g.irfft(qh)).max()), "dt": dt},
             )
         return uh_new, qh_new
-
-
-def step(grid: Grid, s: State, p: ModelParams, tc: TimeConfig) -> State:
-    """Advance one physical state one step; dt resolved from the config (auto uses the CFL bound)."""
-    st = Stepper(grid, p, tc)
-    dt = st.auto_dt(s) if tc.dt == "auto" else float(tc.dt)
-    try:
-        uh, qh = st.step(*_band_limited(grid, s), dt)
-    except BlowUpError as err:
-        err.t = s.t + dt
-        raise
-    return State(grid.irfft(uh), grid.irfft(qh), s.t + dt)
 
 
 def _band_limited(grid: Grid, s: State, what: str = "initial state"

@@ -110,7 +110,7 @@ def test_linf_interp_single_mode(grid):
     fh = grid.rfft(f)
     linf = np.abs(f).max()
     l2 = grid.norm_l2(f)
-    h1 = grid.sobolev_multiplier_norm(fh, 1.0, homogeneous=False)
+    h1 = math.sqrt(grid.inner_hat(fh, fh, 1.0 + grid.ksq))
     hs1 = math.sqrt(part.hs_norm2_hat(fh, 1.5))
     for nn in range(1, 11):
         rhs = l2 + math.sqrt(nn) * h1 + 2.0 ** (-0.5 * nn) * hs1

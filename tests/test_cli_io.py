@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflow import cli, config, dyadic
+from qflow import cli, config, dyadic, snapshots
 from qflow.cli import main
 from qflow.config import (MAX_STEPS, ConfigError, build_initial_state, parse_config, taylor_green,
                           uniaxial_wave)
@@ -230,6 +230,44 @@ def test_snapshot_divergence_flagged(tmp_path):
     write_snapshot(path, g, p, st)
     with pytest.raises(SnapshotError, match="divergence"):
         read_snapshot(path)
+
+
+def write_raw_snapshot(path, n=16, length=2 * np.pi, c=1.0, body=None):
+    """A snapshot file made from its header fields, with a zero body unless one is given."""
+    body = np.zeros((7, n, n)) if body is None else body
+    header = snapshots._HEADER.pack(snapshots.MAGIC, snapshots.VERSION, n, length, 0.0,
+                                    -0.2, 0.8, c, 0.8, 0.25, 0.4)
+    path.write_bytes(header + body.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("header, pattern", [
+    (dict(n=12), "grid size must be a power of two"),
+    (dict(c=-1.0), "bulk coefficient c must be positive"),
+    (dict(length=float("nan")), "period must be positive"),
+], ids=["n", "c", "len"])
+def test_snapshot_refuses_bad_header_values(tmp_path, header, pattern):
+    # a header that Grid or ModelParams refuses used to escape as a bare
+    # ValueError, so that `qflow norms` ended in a traceback
+    path = tmp_path / "s.qtns"
+    write_raw_snapshot(path, **header)
+    with pytest.raises(SnapshotError, match=f"{re.escape(str(path))}: {pattern}"):
+        read_snapshot(path)
+    with pytest.raises(SystemExit, match=f"error: {re.escape(str(path))}: {pattern}"):
+        main(["norms", str(path)])
+
+
+@pytest.mark.parametrize("plane", [0, 4], ids=["u", "q"])
+def test_snapshot_refuses_non_finite_body(tmp_path, plane):
+    # a NaN body used to read without error (the divergence test nan > DIV_TOL
+    # is False), and `qflow norms` printed nan norms with exit code 0
+    body = np.zeros((7, 16, 16))
+    body[plane, 3, 5] = np.nan
+    path = tmp_path / "s.qtns"
+    write_raw_snapshot(path, body=body)
+    with pytest.raises(SnapshotError, match=f"{re.escape(str(path))}: non-finite"):
+        read_snapshot(path)
+    with pytest.raises(SystemExit, match="error: .*non-finite"):
+        main(["norms", str(path)])
 
 
 # -- CSV series ------------------------------------------------------------------------
@@ -682,6 +720,18 @@ def test_cli_check_rejects_nonpositive_trials(name, capsys):
     for trials in ("0", "-3"):
         with pytest.raises(SystemExit, match=f"error: --trials must be >= 1, got {trials}"):
             main(["check", name, "--n", "16", "--trials", trials])
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_cli_refuses_negative_seed(tmp_path, capsys):
+    # both used to end in numpy's "expected non-negative integer" traceback
+    with pytest.raises(SystemExit, match="error: --seed must be >= 0, got -1"):
+        main(["check", "bony", "--n", "16", "--trials", "1", "--seed", "-1"])
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(full_config(tmp_path / "out"))
+    with pytest.raises(SystemExit, match="error: --seed must be >= 0, got -1"):
+        main(["twin", str(cfg), "--eps", "1e-3", "--seed", "-1"])
+    assert not (tmp_path / "out").exists()
     assert "PASS" not in capsys.readouterr().out
 
 

@@ -14,7 +14,7 @@ from qflow.dyadic import (
     neg_index_equiv,
     product_estimate_sample,
 )
-from qflow.qtensor import q_to_mat, random_qtensor
+from qflow.qtensor import mat_mul, q_to_mat, random_qtensor
 from qflow.spectral import Grid, random_scalar
 
 
@@ -133,7 +133,8 @@ def test_besov_vs_multiplier_norm_band(grid, part):
     for _ in range(100):
         f = random_scalar(grid, rng)
         b = part.besov_norm(f, NormSpec(1.0))
-        m = grid.sobolev_multiplier_norm(grid.rfft(f), 1.0)
+        fh = grid.rfft(f)
+        m = math.sqrt(grid.inner_hat(fh, fh, grid.ksq))
         ratios.append(b / m)
     assert 0.5 <= min(ratios) and max(ratios) <= 2.0
 
@@ -142,12 +143,14 @@ def test_sobolev_inner_properties(part, grid):
     rng = np.random.default_rng(4)
     f = random_scalar(grid, rng)
     g = random_scalar(grid, rng)
+    fh, gh = grid.rfft(f), grid.rfft(g)
     for s in (-0.5, 0.0, 0.5, 1.0):
-        assert part.hs_inner(f, f, s) >= 0.0
-        sym = part.hs_inner(f, g, s) - part.hs_inner(g, f, s)
-        assert abs(sym) <= 1e-12 * abs(part.hs_inner(f, g, s) + 1e-30)
+        w = part.sobolev_weight(s)  # <f, g>_{H^s} = inner_hat(fh, gh, w)
+        assert grid.inner_hat(fh, fh, w) >= 0.0
+        sym = grid.inner_hat(fh, gh, w) - grid.inner_hat(gh, fh, w)
+        assert abs(sym) <= 1e-12 * abs(grid.inner_hat(fh, gh, w) + 1e-30)
         b2 = part.besov_norm(f, NormSpec(s)) ** 2
-        assert abs(b2 - part.hs_inner(f, f, s)) <= 1e-12 * b2
+        assert abs(b2 - grid.inner_hat(fh, fh, w)) <= 1e-12 * b2
 
 
 def test_sobolev_inner_s0_comparable_l2(part, grid):
@@ -155,7 +158,7 @@ def test_sobolev_inner_s0_comparable_l2(part, grid):
     ratios = []
     for _ in range(50):
         f = random_scalar(grid, rng)
-        ratios.append(part.hs_inner(f, f, 0.0) / grid.inner(f, f))
+        ratios.append(part.hs_norm2_hat(grid.rfft(f), 0.0) / grid.inner(f, f))
     # block overlap: sum_q phi_q(k)^2 lies in [1/2, 1] since at most two
     # blocks overlap and they sum to one
     assert 0.5 - 1e-12 <= min(ratios) and max(ratios) <= 1.0 + 1e-12
@@ -236,36 +239,25 @@ def test_sym_decomp_requires_matrix_fields(part, grid):
         SymDecompContext(part, np.zeros((5, n, n)), np.zeros((3, 3, n, n)))
 
 
-def dense(q):
-    """S0 planes (5, n, n) as matrix fields (3, 3, n, n)."""
-    return np.moveaxis(q_to_mat(q), (0, 1), (2, 3))
-
-
 def test_sym_decomp_weighted_pairing(part, grid):
     # summing per-block pairings with 2^(2qs) weights reproduces the H^s
     # pairing <AB, C>_{H^s} when the four terms replace block_q(AB)
     rng = np.random.default_rng(12)
     a = random_qtensor(grid, rng)
     b = random_qtensor(grid, rng)
-    c = dense(random_qtensor(grid, rng))
+    c = q_to_mat(random_qtensor(grid, rng))
     s = -0.5
     ctx = SymDecompContext(part, a, b)
-    ab = matmul(dense(grid.zero_mean(a)), dense(grid.zero_mean(b)))
+    ab = mat_mul(q_to_mat(grid.zero_mean(a)), q_to_mat(grid.zero_mean(b)))
 
-    direct = 0.0
-    for i in range(3):
-        for j in range(3):
-            direct += part.hs_inner(grid.zero_mean(ab[i, j]), c[i, j], s)
+    # summed over the nine entries
+    direct = grid.inner_hat(grid.rfft(grid.zero_mean(ab)), grid.rfft(c), part.sobolev_weight(s))
     via_blocks = 0.0
     for q in part.qs:
         terms = sum(ctx.terms(q))
         cq = grid.irfft(part.phi[q] * grid.rfft(c))
         via_blocks += 4.0 ** (q * s) * grid.inner(terms, cq)
     assert abs(via_blocks - direct) <= 1e-8 * (abs(direct) + 1e-30)
-
-
-def matmul(x, y):
-    return np.einsum("ik...,kj...->ij...", x, y)
 
 
 class ReferenceSymDecomp:
@@ -277,13 +269,13 @@ class ReferenceSymDecomp:
         self.part, self.grid = part, g
         a, b = g.zero_mean(a), g.zero_mean(b)
         ah, self.bh = g.rfft(a), g.rfft(b)
-        self.ab_hat = g.rfft(matmul(a, b))
+        self.ab_hat = g.rfft(mat_mul(a, b))
         block_a = {q: g.irfft(part.phi[q] * ah) for q in part.qs}
         self.block_b = {q: g.irfft(part.phi[q] * self.bh) for q in part.qs}
         self.sa = part._prefix_sums(block_a)
         sb = part._prefix_sums(self.block_b)
-        self.p_hat = {q: g.rfft(matmul(self.sa[q - 2], self.block_b[q])) for q in part.qs}
-        self.r_hat = {q: g.rfft(matmul(block_a[q], sb[q + 1])) for q in part.qs}
+        self.p_hat = {q: g.rfft(mat_mul(self.sa[q - 2], self.block_b[q])) for q in part.qs}
+        self.r_hat = {q: g.rfft(mat_mul(block_a[q], sb[q + 1])) for q in part.qs}
 
     def terms(self, q):
         part, g = self.part, self.grid
@@ -293,9 +285,9 @@ class ReferenceSymDecomp:
         for qp in window:
             if abs(q - qp) <= 1:
                 dd = g.irfft(part.phi[q] * part.phi[qp] * self.bh)
-                j1 -= matmul(self.sa[qp - 2], dd)
-                j2 += matmul(self.sa[qp - 2] - self.sa[q - 2], dd)
-        j3 = matmul(self.sa[q - 2], self.block_b[q])
+                j1 -= mat_mul(self.sa[qp - 2], dd)
+                j2 += mat_mul(self.sa[qp - 2] - self.sa[q - 2], dd)
+        j3 = mat_mul(self.sa[q - 2], self.block_b[q])
         j4 = g.irfft(part.phi[q] * sum(self.r_hat[qp] for qp in part.qs if qp >= q - 5))
         return j1, j2, j3, j4
 
@@ -334,7 +326,7 @@ def test_sym_decomp_matches_reference_terms(n, length, make, seed):
     g = Grid(n, length)
     part = DyadicPartition(g)
     a, b = make(g, seed)
-    ctx, ref = SymDecompContext(part, a, b), ReferenceSymDecomp(part, dense(a), dense(b))
+    ctx, ref = SymDecompContext(part, a, b), ReferenceSymDecomp(part, q_to_mat(a), q_to_mat(b))
     # the blocks, the prefix sums and the per-q' running sums live only
     # while the context is built
     for name in ("a", "b", "ah", "block_a", "block_b", "sa", "sb", "p_hat", "r_hat",

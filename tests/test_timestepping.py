@@ -14,7 +14,6 @@ from qflow.timestepping import (
     Trajectory,
     run,
     standard_probes,
-    step,
     twin_run,
 )
 
@@ -50,7 +49,9 @@ def test_time_config_validation():
 
 def test_zero_state_is_fixed_point(grid):
     z = State(np.zeros((2, grid.n, grid.n)), np.zeros((5, grid.n, grid.n)))
-    out = step(grid, z, params(), TimeConfig(dt=0.01))
+    traj = run(grid, z, params(), TimeConfig(dt=0.01, t_end=0.01))
+    assert len(traj.times) == 2  # one step
+    out = traj.states[-1]
     assert np.abs(out.u).max() == 0.0 and np.abs(out.q).max() == 0.0
     assert out.t == pytest.approx(0.01)
 
@@ -482,13 +483,13 @@ def out_of_band_noise(g, share, seed=0):
 
 
 def test_band_guard_rejects_out_of_band_initial_state():
-    # data past n/3 would make the first products alias: run, twin_run and
-    # step refuse it (n = 16, kmax = 6 > 16/3, about 1e-2 of the energy)
+    # data past n/3 would make the first products alias: run and twin_run
+    # refuse it (n = 16, kmax = 6 > 16/3, about 1e-2 of the energy)
     g = Grid(16)
     p = params()
     tc = TimeConfig(dt=1e-3, t_end=2e-3)
     wide = smooth_state(g, kmax=6)
-    for call in (lambda: run(g, wide, p, tc), lambda: step(g, wide, p, tc),
+    for call in (lambda: run(g, wide, p, tc),
                  lambda: twin_run(g, wide, Perturbation(1e-3), p, tc)):
         with pytest.raises(BandError, match="initial state has .* outside the dealias band"):
             call()
@@ -500,14 +501,14 @@ def test_band_guard_rejects_out_of_band_initial_state():
 @pytest.mark.parametrize("scale", [1e308, np.inf, np.nan])
 def test_band_guard_refuses_non_finite_energy(scale):
     # an overflowing or non-finite initial state used to pass the guard and
-    # abort at the first step; run, twin_run and step refuse it
+    # abort at the first step; run and twin_run refuse it
     g = Grid(16)
     p = params()
     tc = TimeConfig(dt=1e-3, t_end=2e-3)
     clean = smooth_state(g, kmax=4)
     with np.errstate(over="ignore", invalid="ignore"):
         bad = State(clean.u, scale * clean.q)
-        for call in (lambda: run(g, bad, p, tc), lambda: step(g, bad, p, tc),
+        for call in (lambda: run(g, bad, p, tc),
                      lambda: twin_run(g, bad, Perturbation(1e-3), p, tc)):
             with pytest.raises(BandError, match="initial state has a non-finite energy"):
                 call()
