@@ -135,8 +135,8 @@ def cancellation_check(grid: Grid, q1: np.ndarray, q2: np.ndarray, u: np.ndarray
     for symmetric Q1, Q2 and any velocity; this is the exchange that removes
     the unsigned terms from the energy balance.
     """
-    om = vorticity_mat(grid, u)
     g3 = velocity_gradient(grid, u)
+    om = vorticity_mat(grid, u, g3)
     m2 = q_to_mat(q2)
     lap1 = q_to_mat(grid.laplacian(q1))
 
@@ -175,11 +175,11 @@ def transport_cancellation_check(grid: Grid, trials: int = 100, seed: int = 0) -
     for _ in range(trials):
         u = random_velocity(grid, rng)
         q = random_qtensor(grid, rng)
-        gradu = grid.gradient(grid.rfft(u))
-        adv_u = u[0] * gradu[0] + u[1] * gradu[1]
+        g3 = velocity_gradient(grid, u)
+        adv_u = u[0] * g3[0, :2] + u[1] * g3[1, :2]
         gradq = grid.gradient(grid.rfft(q))
         adv_q = u[0] * gradq[0] + u[1] * gradq[1]
-        om = vorticity_mat(grid, u)
+        om = vorticity_mat(grid, u, g3)
         m = q_to_mat(q)
         comm = mat_mul(om, m) - mat_mul(m, om)
         coro = np.trace(mat_mul(comm, m))

@@ -256,12 +256,17 @@ def uniaxial_wave(grid: Grid, amplitude: float = 1.0) -> np.ndarray:
 def build_initial_state(cfg: RunConfig, grid: Grid) -> State:
     """Materialize the configured initial condition on the grid."""
     if cfg.snapshot is not None:
-        from .snapshots import read_snapshot
+        from .snapshots import GridMismatchError, read_snapshot
 
-        snap_grid, _, state = read_snapshot(cfg.snapshot)
-        if (snap_grid.n, snap_grid.length) != (cfg.n, cfg.length):
+        state = None
+        try:  # read on the caller's grid: no second Grid is built
+            state = read_snapshot(cfg.snapshot, grid)[2]
+            snap = (grid.n, grid.length)
+        except GridMismatchError as err:
+            snap = (err.n, err.length)
+        if state is None or snap != (cfg.n, cfg.length):
             raise ConfigError(
-                f"snapshot {cfg.snapshot} has grid n={snap_grid.n} len={snap_grid.length!r}, "
+                f"snapshot {cfg.snapshot} has grid n={snap[0]} len={snap[1]!r}, "
                 f"but [grid] sets n={cfg.n} len={cfg.length!r}")
         return state
     if cfg.preset == "taylor_green":

@@ -155,7 +155,12 @@ class DyadicPartition:
 
 
 def shared_partition(grid: Grid) -> DyadicPartition:
-    """One DyadicPartition per (n, length, FFT workers), shared with its weight tables."""
+    """One DyadicPartition per (n, length, FFT workers), shared with its weight tables.
+
+    grid must be a full grid: its band view compares equal to it but holds band tables.
+    """
+    if grid.in_band:
+        raise ValueError("shared_partition needs the full grid, not its band view")
     return _partition(grid, grid.workers)
 
 
@@ -179,6 +184,8 @@ class SymDecompContext:
     Linear quantities stay in 5 planes, expanded to dense 3x3 once per product
     operand; products and terms are (3, 3, n, n), as AB is not S0.  Each J1 and
     J4 window sum is transformed once; terms(q) keeps block_q block_{q+1} B.
+    S_{q-1}A has no blocks for q <= q_min + 1, so its products there are
+    exactly zero and are not formed.
     """
 
     def __init__(self, part: DyadicPartition, a: np.ndarray, b: np.ndarray):
@@ -197,9 +204,12 @@ class SymDecompContext:
         windows = set(self.window.values())
         ends = {hi for _, hi in windows} | {lo - 1 for lo, _ in windows}
         at = {part.q_min - 1: (0.0, 0.0)}
-        self.low_a, self.j3 = {}, {}  # S_{q-1}A dense; J3, also the J1 summand at q' = q
+        # S_{q-1}A dense, None where it vanishes; J3, also the J1 summand at q' = q
+        self.low_a, self.j3 = {}, {}
+        self._zero = np.zeros((3, 3) + a.shape[1:])
+        self._zero.flags.writeable = False
         sa, sb = np.zeros_like(a), block_b[part.q_min]
-        low = np.zeros((3, 3) + a.shape[1:])
+        low = None
         sum_p = sum_r = 0.0
         for q in part.qs:
             if q >= part.q_min + 2:
@@ -209,7 +219,7 @@ class SymDecompContext:
                 sb = sb + block_b[q + 1]
                 high = q_to_mat(sb)
             self.low_a[q] = low
-            self.j3[q] = p = mat_mul(low, q_to_mat(block_b[q]))
+            self.j3[q] = p = self._zero if low is None else mat_mul(low, q_to_mat(block_b[q]))
             sum_p = sum_p + p
             sum_r = sum_r + mat_mul(q_to_mat(block_a[q]), high)
             if q in ends:
@@ -235,11 +245,13 @@ class SymDecompContext:
                 dd = g.irfft(part.phi[q] * part.phi[qp] * self.bh)
             if qp > q:
                 self._pair[q, qp] = dd
-            m = mat_mul(self.low_a[qp], q_to_mat(dd))
+            low = self.low_a[qp]
+            m = self._zero if low is None else mat_mul(low, q_to_mat(dd))
             j1 -= m
             if qp != q:
                 m_off, dd_off = m_off + m, dd_off + dd
-        j2 = m_off - mat_mul(self.low_a[q], q_to_mat(dd_off))
+        low = self.low_a[q]
+        j2 = m_off - (self._zero if low is None else mat_mul(low, q_to_mat(dd_off)))
         return j1, j2, self.j3[q], j4
 
     def block_product(self, q: int) -> np.ndarray:

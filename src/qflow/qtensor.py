@@ -180,9 +180,13 @@ def velocity_gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
     return g
 
 
-def vorticity_mat(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Antisymmetric part Omega = (grad u - grad u^T)/2 as a 3x3 field."""
-    g = velocity_gradient(grid, u)
+def vorticity_mat(grid: Grid, u: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    """Antisymmetric part Omega = (grad u - grad u^T)/2 as a 3x3 field.
+
+    g, if given, is velocity_gradient(grid, u), which is then not transformed again.
+    """
+    if g is None:
+        g = velocity_gradient(grid, u)
     return 0.5 * (g - g.swapaxes(0, 1))
 
 
@@ -252,7 +256,7 @@ def _stress_div_hat(grid: Grid, sh: np.ndarray) -> np.ndarray:
     """(div S)_j = d_i S_ij of the planar stress from its four spectral planes.
 
     S_11 = -G_11, S_12 = C - G_12, S_21 = -C - G_12, S_22 = -G_22 with C the
-    commutator entry; shape (2, n, n//2+1).
+    commutator entry; two planes of sh's layout.
     """
     ik1, ik2 = 1j * grid.k1, 1j * grid.k2
     comm, g11, g12, g22 = sh
@@ -293,13 +297,13 @@ def _momentum_hat(grid: Grid, u: np.ndarray, omega: np.ndarray, q: np.ndarray, l
     (omega u2, -omega u1) differs from -u.grad(u) by the gradient of
     |u|^2/2, which the Leray projection removes.  The six momentum planes
     (advection, the stress commutator entry and grad Q o grad Q) are
-    dealiased once, after their products.
+    dealiased once, after their products, by the band view's forward transform.
     """
     mom = np.empty((6,) + u.shape[1:])
     mom[0] = omega * u[1]
     mom[1] = -omega * u[0]
     _stress_planes(mom[2:], q, (lap[0], None, lap[1], lap[2], lap[3]), dq[0], dq[1])
-    mh = grid.rfft(mom, band=True)
+    mh = grid.band.rfft(mom)
     return grid.leray_hat(mh[:2] + p.L * _stress_div_hat(grid, mh[2:]))
 
 
@@ -308,22 +312,22 @@ def _tensor_hat(grid: Grid, u: np.ndarray, w: np.ndarray, q: np.ndarray, qh: np.
     """-u.grad(Q) + Omega Q - Q Omega + gamma P(Q) from the physical planes, spin w = Omega_12.
 
     bulk is _bulk_products(grid, q, p); it is overwritten with the five
-    summed product planes, which are dealiased once; -gamma a Q is added
-    in spectral space.
+    summed product planes, which are dealiased once (the band view's
+    forward transform); -gamma a Q is added in spectral space.
     """
     n_q = bulk
     n_q *= p.gamma
     n_q += corotate(w, q)
     n_q -= u[0] * dq[0]
     n_q -= u[1] * dq[1]
-    n_qh = grid.rfft(n_q, band=True)
+    n_qh = grid.band.rfft(n_q)
     n_qh -= (p.gamma * p.a) * qh
     return n_qh
 
 
 @dataclass
 class StatePlanes:
-    """Physical planes of one in-band state (uh, qh), and its P(Q) pairings.
+    """Physical planes of one state (uh, qh) in the band layout, and its P(Q) pairings.
 
     u = irfft(uh), uncut also in Friedrichs mode, and q = irfft(qh).  b_q
     and b_lapq are the L^2 pairings <B, Q> and <B, lap Q> of the undealiased
@@ -356,11 +360,13 @@ def _state_planes(grid: Grid, u: np.ndarray, q: np.ndarray, qh: np.ndarray, bulk
 
 
 def state_planes(grid: Grid, uh: np.ndarray, qh: np.ndarray, p: ModelParams) -> StatePlanes:
-    """StatePlanes of the in-band coefficients (uh, qh), with no right-hand side.
+    """StatePlanes of the band coefficients (uh, qh) of grid (or of its band view),
+    with no right-hand side.
 
     Transforms only what the record holds: u, Q, the tr(Q^2) round trip
     of B and the five lap Q planes (13 c2r + 1 r2c).
     """
+    grid = grid.band
     q = grid.irfft(qh)
     lap = grid.irfft(grid.laplacian_hat(qh[_COMMUTATOR_PLANES]))
     return _state_planes(grid, grid.irfft(uh), q, qh, _bulk_products(grid, q, p), lap)
@@ -371,9 +377,9 @@ def nonlinear(
 ) -> tuple[np.ndarray, np.ndarray] | tuple[np.ndarray, np.ndarray, StatePlanes]:
     """Non-stiff right-hand sides (N_u, N_Q) for the integrating-factor scheme.
 
-    Spectral in, spectral out: uh (2, n, n//2+1) and qh (5, n, n//2+1) are
-    half-spectrum coefficients, and the results are zero outside
-    Grid.dealias_mask.
+    Spectral in, spectral out, in the band layout (see Grid.band): uh
+    (2, 2m+1, m+1) and qh (5, 2m+1, m+1) are the in-band coefficients of
+    grid (or of its band view), m = n//3, and so are the results.
     N_Q = -u.grad(Q) + Omega Q - Q Omega + gamma P(Q) and
     N_u = P[-u.grad(u) + L div{...}], Leray-projected and mean-zero; the
     stiff terms nu lap(u) and gamma L lap(Q) are the stepper's.  With a
@@ -396,7 +402,7 @@ def nonlinear(
     Friedrichs mode, where the call's u is the cut velocity, the uncut u
     (2 c2r).
     """
-    g = grid
+    g = grid.band
     uh_cut = uh if p.n_cutoff is None else g.freq_cutoff_hat(uh, p.n_cutoff)
     u = g.irfft(uh_cut)
     q = g.irfft(qh)

@@ -12,7 +12,8 @@ Snapshot layout (little-endian, no padding):
 
 Round trips are byte-exact; reads validate the magic, version, length, the
 grid and parameters of the header, the finiteness of time and body, and
-the spectral divergence of u.
+the spectral divergence of u.  A reader that has its grid checks the
+header against it before anything is built.
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ class SnapshotError(IOError):
     """Corrupt, truncated or inconsistent snapshot file."""
 
 
+class GridMismatchError(SnapshotError):
+    """A snapshot on another grid than the reader's; carries the header's n and length."""
+
+    def __init__(self, path: str | Path, n: int, length: float, grid: Grid):
+        super().__init__(f"{path}: grid n={n} len={length!r}, "
+                         f"but the reader's grid has n={grid.n} len={grid.length!r}")
+        self.n, self.length = n, length
+
+
 def write_snapshot(path: str | Path, grid: Grid, params: ModelParams, state: State) -> None:
     header = _HEADER.pack(
         MAGIC, VERSION, grid.n, grid.length, state.t,
@@ -50,7 +60,13 @@ def write_snapshot(path: str | Path, grid: Grid, params: ModelParams, state: Sta
     Path(path).write_bytes(header + body)
 
 
-def read_snapshot(path: str | Path) -> tuple[Grid, ModelParams, State]:
+def read_snapshot(path: str | Path, grid: Grid | None = None) -> tuple[Grid, ModelParams, State]:
+    """Grid, parameters and state of a snapshot.
+
+    With grid given, a header on another n or len raises GridMismatchError
+    before the body is read into planes, and grid is returned; without
+    one, the header's grid is built.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise SnapshotError(f"{path}: short read (header truncated)")
@@ -64,10 +80,13 @@ def read_snapshot(path: str | Path) -> tuple[Grid, ModelParams, State]:
         raise SnapshotError(f"{path}: short read ({len(raw)} of {expected} bytes)")
     if len(raw) > expected:
         raise SnapshotError(f"{path}: trailing bytes ({len(raw) - expected})")
+    if grid is not None and (n, length) != (grid.n, grid.length):
+        raise GridMismatchError(path, n, length, grid)
 
     planes = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(7, n, n).copy()
     try:
-        grid, params = Grid(n, length), ModelParams(a=a, b=b, c=c, gamma=gamma, nu=nu, L=ell)
+        grid = Grid(n, length) if grid is None else grid
+        params = ModelParams(a=a, b=b, c=c, gamma=gamma, nu=nu, L=ell)
     except ValueError as err:
         raise SnapshotError(f"{path}: {err}") from None
     if not (np.isfinite(planes).all() and np.isfinite(time)):

@@ -8,6 +8,12 @@ arrays of shape (..., n, n//2+1) produced by an unscaled forward transform
 {-n/2+1, ..., n/2} along the first axis and {0, ..., n/2} along the second,
 scaled by 2*pi/len; the Nyquist index is mapped to +n/2.  Every lattice
 table has the half-spectrum shape (n, n//2+1).
+
+Grid.band is the band view of a grid: a Grid of the same n and len whose
+spectral arrays hold only the dealias band max(|k1|, |k2|) <= m = n//3, as
+one (2m+1, m+1) block (rows 0..m then n-m..n-1, columns 0..m), and whose
+tables are gathered from the full ones.  Its transforms and multipliers
+are those of the full layout, restricted to the band value for value.
 """
 
 from __future__ import annotations
@@ -74,6 +80,8 @@ class Grid:
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     parseval: np.ndarray = field(init=False, repr=False, compare=False)
     workers: int = field(init=False, repr=False, compare=False)
+    #: True on the band view, whose spectral arrays are the in-band block
+    in_band: bool = field(init=False, default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -104,42 +112,79 @@ class Grid:
         object.__setattr__(self, "parseval", dup[None, :])
         object.__setattr__(self, "workers", fft_workers())
 
+    @functools.cached_property
+    def band(self) -> Grid:
+        """The band view of this grid (itself on a band view); built once, without __post_init__.
+
+        It compares equal to the full grid, so it must not stand in for it
+        where full-layout tables are expected (shared_partition refuses it).
+        """
+        if self.in_band:
+            return self
+        view = object.__new__(Grid)
+        for name in ("n", "length", "workers"):
+            object.__setattr__(view, name, getattr(self, name))
+        for name in ("k1", "k2", "ksq", "ksq_safe", "kmag", "dealias_mask"):
+            object.__setattr__(view, name, self.gather(getattr(self, name)))
+        object.__setattr__(view, "parseval", self.parseval[:, : self.n // 3 + 1])
+        object.__setattr__(view, "in_band", True)
+        # full-layout scratch for power_sum; only its band entries are ever written
+        object.__setattr__(view, "_sum_buf", np.zeros((self.n, self.n // 2 + 1)))
+        return view
+
+    def gather(self, fh: np.ndarray) -> np.ndarray:
+        """The in-band block of full-layout coefficients or tables fh, a new (..., 2m+1, m+1) array."""
+        n, m = self.n, self.n // 3
+        return np.concatenate((fh[..., : m + 1, : m + 1], fh[..., n - m :, : m + 1]), axis=-2)
+
+    def _put(self, out: np.ndarray, bh: np.ndarray) -> None:
+        """Write the band block bh into the rows of its modes in out, whose columns are 0..m."""
+        n, m = self.n, self.n // 3
+        out[..., : m + 1, :] = bh[..., : m + 1, :]
+        out[..., n - m :, :] = bh[..., m + 1 :, :]
+
     # -- transforms ---------------------------------------------------------
 
-    # The band-pruned passes run the complex first-axis pass on the n//3+1
-    # columns k2 <= n/3 only.  n is a power of two, so the inverse's two 1/n
-    # scalings equal irfft2's one 1/n^2 exactly.  Each call makes exactly one
-    # call of a scipy.fft N-D entry point, so a library-level count of
-    # transformed planes matches the count taken at these methods.
+    # The band-pruned passes run the complex first-axis pass on the m+1 =
+    # n//3+1 columns k2 <= n/3 only.  n is a power of two, so the inverse's
+    # two 1/n scalings equal irfft2's one 1/n^2 exactly.  Each call makes
+    # exactly one call of a scipy.fft N-D entry point, so a library-level
+    # count of transformed planes matches the count taken at these methods.
 
-    def rfft(self, f: np.ndarray, band: bool = False) -> np.ndarray:
+    def rfft(self, f: np.ndarray) -> np.ndarray:
         """Forward half-spectrum transform (unscaled), batched over leading axes.
 
-        band=True returns dealias_mask * rfft(f), equal to it value for value.
+        On the band view it is band-pruned and returns the in-band block,
+        equal value for value to gather(dealias_mask * rfft(f)) of the full grid.
         """
-        if not band:
+        if not self.in_band:
             return scipy.fft.rfft2(f, axes=(-2, -1), workers=self.workers)
         out = scipy.fft.rfftn(f, axes=(-1,), workers=self.workers)
         _in_place(scipy.fft.fft, out[..., : self.n // 3 + 1], self.workers)
-        out *= self.dealias_mask
-        return out
+        return self.gather(out)
 
     def irfft(self, fh: np.ndarray) -> np.ndarray:
         """Inverse half-spectrum transform (carries 1/n^2) to a real field.
 
-        When fh vanishes in the columns k2 > n/3 (any in-band field does) the
-        pass is band-pruned, with the same result bit for bit; the kept
-        columns are copied into scratch, so fh is not touched.
+        On the band view fh is the in-band block, scattered into a zeroed
+        scratch buffer for the band-pruned pass.  On the full grid, when fh
+        vanishes in the columns k2 > n/3 (any in-band field does) the pass
+        is band-pruned, with the same result bit for bit; the kept columns
+        are copied into scratch, so fh is not touched.
         """
-        cut = self.n // 3 + 1
-        if fh[..., cut:].any():
-            return scipy.fft.irfft2(fh, s=(self.n, self.n), axes=(-2, -1), workers=self.workers)
-        buf = np.empty(fh.shape, dtype=complex)
+        n, cut = self.n, self.n // 3 + 1
+        if not self.in_band and fh[..., cut:].any():
+            return scipy.fft.irfft2(fh, s=(n, n), axes=(-2, -1), workers=self.workers)
+        buf = np.empty(fh.shape[:-2] + (n, n // 2 + 1), dtype=complex)
         buf[..., cut:] = 0.0
         kept = buf[..., :cut]
-        kept[...] = fh[..., :cut]
+        if self.in_band:
+            kept[..., cut : n - cut + 1, :] = 0.0
+            self._put(kept, fh)
+        else:
+            kept[...] = fh[..., :cut]
         _in_place(scipy.fft.ifft, kept, self.workers)
-        return scipy.fft.irfftn(buf, s=(self.n,), axes=(-1,), workers=self.workers)
+        return scipy.fft.irfftn(buf, s=(n,), axes=(-1,), workers=self.workers)
 
     def gradient(self, fh: np.ndarray) -> np.ndarray:
         """Physical (d1 f, d2 f), shape (2,) + f.shape, from fh = rfft(f) in one batched irfft.
@@ -180,7 +225,7 @@ class Grid:
         separate, deliberate step).
         """
         if vh.shape[:-2] != (2,):
-            raise ValueError(f"expected shape (2, n, n//2+1), got {vh.shape}")
+            raise ValueError(f"expected two spectral planes, got shape {vh.shape}")
         kdotv = self.k1 * vh[0] + self.k2 * vh[1]
         out = np.empty_like(vh)
         out[0] = vh[0] - self.k1 * kdotv / self.ksq_safe
@@ -206,7 +251,8 @@ class Grid:
         return self.irfft(self.leray_hat(self.rfft(v)))
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
-        return self.irfft(self.rfft(f, band=True))
+        band = self.band
+        return band.irfft(band.rfft(f))
 
     def zero_mean(self, f: np.ndarray) -> np.ndarray:
         return f - f.mean(axis=(-2, -1), keepdims=True)
@@ -224,9 +270,13 @@ class Grid:
     def norm_l2(self, f: np.ndarray) -> float:
         return float(np.sqrt(np.sum(f * f) * self.cell_area))
 
-    def norm_lp(self, f: np.ndarray, p: float) -> float:
-        """L^p norm of the pointwise Euclidean magnitude over component axes."""
-        mag2 = self._mag2(f)
+    def norm_lp(self, f: np.ndarray, p: float, mag2: np.ndarray | None = None) -> float:
+        """L^p norm of the pointwise Euclidean magnitude over component axes.
+
+        mag2, if given, is the squared magnitude of f, shared between calls.
+        """
+        if mag2 is None:
+            mag2 = self._mag2(f)
         if p == np.inf:
             return float(np.sqrt(mag2.max(initial=0.0)))
         return float((np.sum(mag2 ** (p / 2.0)) * self.cell_area) ** (1.0 / p))
@@ -252,7 +302,7 @@ class Grid:
         return float(np.sum(prod) * w)
 
     def power_hat(self, fh: np.ndarray) -> np.ndarray:
-        """Per-mode share of ||f||^2 from half-spectrum coefficients, shape (n, n//2+1).
+        """Per-mode share of ||f||^2 from spectral coefficients, one table of the grid's layout.
 
         |fh|^2 summed over any leading component axes, with the Parseval
         weight and the quadrature scale of inner_hat built in, so that
@@ -261,6 +311,19 @@ class Grid:
         """
         return (self._mag2(fh.real) + self._mag2(fh.imag)) * (
             self.parseval * (self.cell_area / self.n**2))
+
+    def power_sum(self, power: np.ndarray, weight: np.ndarray | None = None) -> float:
+        """sum(power * weight) of a power_hat table, summed in the order of the full layout.
+
+        On the band view the products are written into the band entries of
+        a zeroed full-layout buffer first, so a band table gives the bits of
+        its full-layout twin (power_hat vanishes outside the band there).
+        """
+        if not self.in_band:
+            return float(np.sum(power if weight is None else power * weight))
+        buf = self._sum_buf
+        self._put(buf[:, : self.n // 3 + 1], power if weight is None else power * weight)
+        return float(np.sum(buf))
 
     def divergence_residual(self, vh: np.ndarray) -> float:
         """max_k |k . v_hat(k)| relative to the coefficient magnitude."""

@@ -10,8 +10,9 @@ everything else is explicit.  One step of the Heun-type scheme:
     U_n1 = E U_n + dt/2 (E k1 + N(U*))
 
 which is exact for vanishing N and second order otherwise.  The state is
-carried between steps as half-spectrum coefficients: a step takes and
-returns (uh, qh), and takes k1 from its caller when the caller has it.
+carried between steps as its in-band coefficients, the (2m+1, m+1) block
+of the band view Grid.band (m = n//3): a step takes and returns (uh, qh),
+and takes k1 from its caller when the caller has it.
 run() and twin_run() step through one loop, _drive, which hands each probe
 row and stored state to a sink as soon as it is made (a Trajectory, or
 snapshots.SeriesWriter), so an aborted run's output is already in its sink.
@@ -19,7 +20,9 @@ snapshots.SeriesWriter), so an aborted run's output is already in its sink.
 The stepping path relies on the state being in the dealias band (every
 mode with max(|k1|, |k2|) <= n/3), where the two-thirds-rule products, and
 so the vorticity form of the advection, are exact.  run() and twin_run()
-check the initial state once and mask it; the step keeps it in band.
+check the initial state once and gather its band; the step keeps it there.
+Every multiplier, combination and probe sum of the stepping path runs on
+the band block only.
 """
 
 from __future__ import annotations
@@ -125,10 +128,13 @@ class Trajectory:
 
 
 class Stepper:
-    """IF-RK2 stepping with cached exponential multipliers."""
+    """IF-RK2 stepping on band coefficients with cached exponential multipliers.
+
+    grid may be a full grid or its band view; the stepper keeps the band view.
+    """
 
     def __init__(self, grid: Grid, params: ModelParams, tc: TimeConfig):
-        self.grid = grid
+        self.grid = grid.band
         self.params = params
         self.tc = tc
         self._exp_cache: tuple[float, np.ndarray, np.ndarray] | None = None
@@ -156,7 +162,7 @@ class Stepper:
 
     def step(self, uh: np.ndarray, qh: np.ndarray, dt: float,
              k1: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the in-band half-spectrum coefficients (uh, qh) by dt; no transform of the state.
+        """Advance the band coefficients (uh, qh) by dt; no transform of the state.
 
         k1 is nonlinear(uh, qh), evaluated here unless the caller passes it.
         A non-finite result raises BlowUpError carrying max |u|, max |Q| of
@@ -183,11 +189,11 @@ class Stepper:
 
 def _band_limited(grid: Grid, s: State, what: str = "initial state"
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients (uh, qh) of s, masked to the dealias band.
+    """The band coefficients (uh, qh) of s, gathered from its full-layout transforms.
 
     Raises BandError when the energy |u|^2 + |Q|^2 is not finite, or more
     than BAND_GUARD of it lies outside the band; both are read from the
-    coefficients.
+    full coefficients.  grid is the full grid.
     """
     uh, qh = grid.rfft(s.u), grid.rfft(s.q)
     power = grid.power_hat(uh) + grid.power_hat(qh)
@@ -201,59 +207,72 @@ def _band_limited(grid: Grid, s: State, what: str = "initial state"
             f"{what} has {outside / total:.3g} of its energy outside the dealias band "
             f"max(|k1|, |k2|) <= n/3 = {grid.n / 3:.4g} (at most {BAND_GUARD:g} allowed); "
             f"band-limit the data to |k| <= n/3")
-    return uh * grid.dealias_mask, qh * grid.dealias_mask
+    return grid.gather(uh), grid.gather(qh)
 
 
 # -- diagnostics -----------------------------------------------------------------
 
 
+def probe_weights(grid: Grid, part: DyadicPartition, hs: tuple[float, ...] = ()
+                  ) -> dict[str, np.ndarray]:
+    """The band weight tables of the probe channels, built once per run.
+
+    "ksq", "ksq2" and "h2" hold |k|^2, |k|^4 and (1 + |k|^2)^2; for each s in
+    hs, "hs<tag>", "hs<tag>_ksq" and "hs<tag>_ksq2" hold the H^s weight of
+    part, w_s, times 1, |k|^2 and |k|^4.  Each is the expression the channel
+    reads, evaluated on gathered tables, so every channel keeps its bits.
+    """
+    ksq = grid.band.ksq
+    out = {"ksq": ksq, "ksq2": ksq**2, "h2": (1.0 + ksq) ** 2}
+    for sv in hs:
+        w, tag = grid.gather(part.sobolev_weight(sv)), _hs_tag(sv)
+        out[f"hs{tag}"], out[f"hs{tag}_ksq"], out[f"hs{tag}_ksq2"] = w, w * ksq, w * ksq**2
+    return out
+
+
 def standard_probes(
-    grid: Grid, part: DyadicPartition, s: StatePlanes, uh: np.ndarray, qh: np.ndarray,
+    grid: Grid, weights: dict[str, np.ndarray], s: StatePlanes, uh: np.ndarray, qh: np.ndarray,
     p: ModelParams, hs_list: tuple[float, ...] = ()
 ) -> dict[str, float]:
     """Scalar diagnostic channels for one state, given as its StatePlanes
-    record s and its half-spectrum coefficients (uh, qh); transforms nothing.
+    record s and its band coefficients (uh, qh); transforms nothing.
 
     Always includes the L^2/H^1-level energy bookkeeping and the L^{2p}
     norms of Q for p in {1, 2, 3}; for every s in hs_list adds the
     Besov-flavored homogeneous-Sobolev channels used by the growth checks.
-    Every weighted channel is one sum over the field's power spectrum; the
-    P(Q) pairings come from the record's quadratures.
+    weights is probe_weights(grid, part, (1.0, *hs_list)), or without
+    hs_list probe_weights(grid, part).  Every weighted channel is one
+    Grid.power_sum over the field's power spectrum; the P(Q) pairings come
+    from the record's quadratures.
     """
-    g = grid
+    g = grid.band
     pu, pq = g.power_hat(uh), g.power_hat(qh)
 
     out: dict[str, float] = {}
     out["l2_u2"] = g.inner(s.u, s.u)
     out["l2_q2"] = g.inner(s.q, s.q)
-    out["gradu2"] = _weighted(pu, g.ksq)
-    out["gradq2"] = _weighted(pq, g.ksq)
-    out["lapq2"] = _weighted(pq, g.ksq**2)
+    out["gradu2"] = g.power_sum(pu, weights["ksq"])
+    out["gradq2"] = g.power_sum(pq, weights["ksq"])
+    out["lapq2"] = g.power_sum(pq, weights["ksq2"])
     out["energy"] = out["l2_u2"] + out["l2_q2"] + p.L * out["gradq2"]
     out["pq_q"] = -p.a * out["l2_q2"] + s.b_q
     out["pq_lapq"] = p.a * out["gradq2"] + s.b_lapq
+    mag2 = trace_q2(s.q)
     for pex in (1, 2, 3):
-        out[f"l2p{pex}_q"] = g.norm_lp(s.q, 2 * pex)
+        out[f"l2p{pex}_q"] = g.norm_lp(s.q, 2 * pex, mag2)
     out["max_u"] = float(np.sqrt(np.sum(s.u**2, axis=0)).max(initial=0.0))
 
     if hs_list:
-        out["h2_q"] = float(np.sqrt(max(_weighted(pq, (1.0 + g.ksq) ** 2), 0.0)))
-        w1 = part.sobolev_weight(1.0)
-        out["h1dot_u2"] = _weighted(pu, w1)
-        out["h1dot_gradq2"] = _weighted(pq, w1 * g.ksq)
+        out["h2_q"] = float(np.sqrt(max(g.power_sum(pq, weights["h2"]), 0.0)))
+        out["h1dot_u2"] = g.power_sum(pu, weights["hs1"])
+        out["h1dot_gradq2"] = g.power_sum(pq, weights["hs1_ksq"])
     for sv in hs_list:
-        w = part.sobolev_weight(sv)
         tag = _hs_tag(sv)
-        out[f"hs{tag}_u2"] = _weighted(pu, w)
-        out[f"hs{tag}_gradq2"] = _weighted(pq, w * g.ksq)
-        out[f"hs{tag}_gradu2"] = _weighted(pu, w * g.ksq)
-        out[f"hs{tag}_lapq2"] = _weighted(pq, w * g.ksq**2)
+        out[f"hs{tag}_u2"] = g.power_sum(pu, weights[f"hs{tag}"])
+        out[f"hs{tag}_gradq2"] = g.power_sum(pq, weights[f"hs{tag}_ksq"])
+        out[f"hs{tag}_gradu2"] = g.power_sum(pu, weights[f"hs{tag}_ksq"])
+        out[f"hs{tag}_lapq2"] = g.power_sum(pq, weights[f"hs{tag}_ksq2"])
     return out
-
-
-def _weighted(power: np.ndarray, weight: np.ndarray | None = None) -> float:
-    """Weighted squared norm from a Grid.power_hat table."""
-    return float(np.sum(power if weight is None else power * weight))
 
 
 def _hs_tag(s: float) -> str:
@@ -269,25 +288,27 @@ def run(grid: Grid, init: State, p: ModelParams, tc: TimeConfig,
     without a sink, run returns the Trajectory it collects.  Each
     state that a step follows gets its record and k1 from one nonlinear
     call; row 0, the first auto step and the first stored state read
-    init's own physical planes.
+    init's own physical planes.  grid is the full grid; the state is
+    stepped and probed on its band view.
     """
-    part = shared_partition(grid)
+    band = grid.band
+    weights = probe_weights(grid, shared_partition(grid), (1.0, *hs_probes) if hs_probes else ())
     traj = Trajectory(grid, p) if sink is None else sink
 
     def observe(k: int, t: float, last: bool, members: list) -> tuple:
         uh, qh = members[0]
         k1 = None
         if last:
-            planes = state_planes(grid, uh, qh, p)
+            planes = state_planes(band, uh, qh, p)
         else:
-            *k1, planes = nonlinear(grid, uh, qh, p, planes=True)
+            *k1, planes = nonlinear(band, uh, qh, p, planes=True)
         s = init.copy() if k == 0 else State(planes.u, planes.q, t)
         planes.u, planes.q = s.u, s.q  # for row 0, init's own planes
-        row = standard_probes(grid, part, planes, uh, qh, p, hs_probes)
+        row = standard_probes(band, weights, planes, uh, qh, p, hs_probes)
         stored = k == 0 or last or (state_stride > 0 and k % state_stride == 0)
         return row, [row["energy"]], planes, k1, [s] if stored else []
 
-    _drive(Stepper(grid, p, tc), [_band_limited(grid, init)], init.t, traj, observe)
+    _drive(Stepper(band, p, tc), [_band_limited(grid, init)], init.t, traj, observe)
     return traj.arrays() if sink is None else None
 
 
@@ -384,23 +405,23 @@ def twin_run(grid: Grid, init: State, perturb: Perturbation, p: ModelParams, tc:
     times its initial value aborts the run, as in run().  chi needs the
     whole Phi series, so the sink is always a Trajectory (an empty one by default).
 
-    The members are carried as half-spectrum coefficients and every channel
-    is read from them, so a probe row transforms nothing.  A dt = "auto"
+    The members are carried as band coefficients and every channel is read
+    from them, so a probe row transforms nothing.  A dt = "auto"
     step is sized from member 1's StatePlanes record, made by the same
     nonlinear call that gives its k1 (the first one from init's own
     planes); both members are transformed to physical space at the end.
     """
-    g = grid
-    w = shared_partition(g).sobolev_weight(-0.5)
-    traj = Trajectory(g, p) if sink is None else sink
-    members = [_band_limited(g, init),
-               _band_limited(g, perturb.apply(g, init), "perturbed initial state")]
+    g = grid.band
+    weights = probe_weights(grid, shared_partition(grid), (-0.5,))
+    traj = Trajectory(grid, p) if sink is None else sink
+    members = [_band_limited(grid, init),
+               _band_limited(grid, perturb.apply(grid, init), "perturbed initial state")]
 
     def observe(k: int, t: float, last: bool, members: list) -> tuple:
         k1, planes = None, init  # member 1's k1 and planes, made only for dt = "auto"
         if tc.dt == "auto" and k > 0 and not last:
             *k1, planes = nonlinear(g, *members[0], p, planes=True)
-        row = _twin_probes(g, w, *members, p)
+        row = _twin_probes(g, weights, *members, p)
         finals = [State(g.irfft(uh), g.irfft(qh), t) for uh, qh in members] if last else []
         energy = [row[f"u{m}_l22"] + row[f"q{m}_l22"] + p.L * row[f"gq{m}_l22"] for m in (1, 2)]
         return row, energy, planes, k1, finals
@@ -411,35 +432,38 @@ def twin_run(grid: Grid, init: State, perturb: Perturbation, p: ModelParams, tc:
     return traj
 
 
-def _twin_probes(grid: Grid, w: np.ndarray, a: tuple[np.ndarray, np.ndarray],
+def _twin_probes(grid: Grid, weights: dict[str, np.ndarray], a: tuple[np.ndarray, np.ndarray],
                  b: tuple[np.ndarray, np.ndarray], p: ModelParams) -> dict[str, float]:
-    """Twin channels of the members a = (uh, qh) and b from their coefficients.
+    """Twin channels of the members a = (uh, qh) and b from their band coefficients.
 
-    w is the H^{-1/2} weight table; the differences are taken as b - a.
-    Each field's power spectrum is built once and every channel is one
-    weighted sum over it.
+    weights is probe_weights(grid, part, (-0.5,)), with the H^{-1/2} weight
+    tables; the differences are taken as b - a.  Each field's power
+    spectrum is built once and every channel is one Grid.power_sum over it.
     """
-    g = grid
+    g = grid.band
+    total = g.power_sum
+    w, w_ksq, w_ksq2, ksq, ksq2 = (weights[key] for key in (
+        "hsm0p5", "hsm0p5_ksq", "hsm0p5_ksq2", "ksq", "ksq2"))
     pdu = g.power_hat(b[0] - a[0])
     pdq = g.power_hat(b[1] - a[1])
 
     out: dict[str, float] = {}
-    out["du_hm2"] = _weighted(pdu, w)
-    out["gdq_hm2"] = _weighted(pdq, w * g.ksq)
+    out["du_hm2"] = total(pdu, w)
+    out["gdq_hm2"] = total(pdq, w_ksq)
     out["phi"] = 0.5 * out["du_hm2"] + p.L * out["gdq_hm2"]
-    out["gdu_hm2"] = _weighted(pdu, w * g.ksq)
-    out["lapdq_hm2"] = _weighted(pdq, w * g.ksq**2)
-    out["du_l22"] = _weighted(pdu)
-    out["gdu_l22"] = _weighted(pdu, g.ksq)
-    out["dq_l22"] = _weighted(pdq)
+    out["gdu_hm2"] = total(pdu, w_ksq)
+    out["lapdq_hm2"] = total(pdq, w_ksq2)
+    out["du_l22"] = total(pdu)
+    out["gdu_l22"] = total(pdu, ksq)
+    out["dq_l22"] = total(pdq)
 
     for tag, (uh, qh) in (("1", a), ("2", b)):
         pu, pq = g.power_hat(uh), g.power_hat(qh)
-        out[f"u{tag}_l22"] = _weighted(pu)
-        out[f"q{tag}_l22"] = _weighted(pq)
-        out[f"gu{tag}_l22"] = _weighted(pu, g.ksq)
-        out[f"gq{tag}_l22"] = _weighted(pq, g.ksq)
-        out[f"lq{tag}_l22"] = _weighted(pq, g.ksq**2)
+        out[f"u{tag}_l22"] = total(pu)
+        out[f"q{tag}_l22"] = total(pq)
+        out[f"gu{tag}_l22"] = total(pu, ksq)
+        out[f"gq{tag}_l22"] = total(pq, ksq)
+        out[f"lq{tag}_l22"] = total(pq, ksq2)
     return out
 
 

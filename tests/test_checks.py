@@ -36,6 +36,27 @@ def uniaxial(grid, s):
 # -- cancellation ------------------------------------------------------------------
 
 
+def test_cancellation_checks_transform_u_once(monkeypatch):
+    # Omega is taken from the velocity gradient each check already holds;
+    # one trial at n = 16, including the Leray round trip of random_velocity
+    g = Grid(16)
+    counts = {"r2c": 0, "c2r": 0}
+
+    def counted(fn, kind):
+        def wrapper(self, f):
+            counts[kind] += int(np.prod(np.shape(f)[:-2]))
+            return fn(self, f)
+        return wrapper
+
+    monkeypatch.setattr(Grid, "rfft", counted(Grid.rfft, "r2c"))
+    monkeypatch.setattr(Grid, "irfft", counted(Grid.irfft, "c2r"))
+    assert C.cancellation_ensemble(g, trials=1).passed
+    assert counts == {"r2c": 9, "c2r": 11}
+    counts.update(r2c=0, c2r=0)
+    assert C.transport_cancellation_check(g, trials=1).passed
+    assert counts == {"r2c": 9, "c2r": 16}
+
+
 def test_cancellation_zero_velocity(grid):
     rng = np.random.default_rng(0)
     q1, q2 = random_qtensor(grid, rng), random_qtensor(grid, rng)
@@ -248,11 +269,11 @@ def test_difference_regularity_single_mode(grid):
     du = np.stack([np.sin(2 * y), np.zeros_like(x)])  # div-free single mode
     base = smooth_state(grid)
     pert = State(base.u + du, base.q.copy())
-    from qflow.timestepping import _twin_probes
+    from qflow.timestepping import _twin_probes, probe_weights
 
     w = part.sobolev_weight(-0.5)
-    members = [(grid.rfft(st.u), grid.rfft(st.q)) for st in (base, pert)]
-    row = _twin_probes(grid, w, *members, params())
+    members = [(grid.band.rfft(st.u), grid.band.rfft(st.q)) for st in (base, pert)]
+    row = _twin_probes(grid, probe_weights(grid, part, (-0.5,)), *members, params())
     duh = grid.rfft(du)
     expect = grid.inner_hat(duh, duh, w)
     assert row["du_hm2"] == pytest.approx(expect, rel=1e-12)

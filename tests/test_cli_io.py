@@ -455,6 +455,21 @@ def restart_config(tmp_path, snap, grid_lines):
         "preset = random_spectrum", f"snapshot = {snap}")
 
 
+def test_restart_builds_one_grid(tmp_path, monkeypatch):
+    # the snapshot is read on the command's own grid; the band view is no
+    # second Grid either
+    g, st = random_state(n=32)
+    snap = tmp_path / "s.qtns"
+    write_snapshot(snap, g, ModelParams(a=-0.2, b=0.8, c=1.0, gamma=0.8, nu=0.25, L=0.4), st)
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(restart_config(tmp_path, snap, "[grid]\nn = 32"))
+    built = []
+    post_init = Grid.__post_init__
+    monkeypatch.setattr(Grid, "__post_init__", lambda self: built.append(self.n) or post_init(self))
+    assert main(["simulate", str(cfg)]) == 0
+    assert built == [32]
+
+
 def test_restart_rejects_other_grid(tmp_path):
     g, st = random_state(n=16)
     p = ModelParams(a=-0.2, b=0.8, c=1.0, gamma=0.8, nu=0.25, L=0.4)
@@ -655,7 +670,7 @@ def test_parse_config_fuzz(text):
     except ValueError as err:
         assert "is out of range" in str(err), err
         return
-    assert math.isfinite(float((grid.power_hat(uh) + grid.power_hat(qh)).sum()))
+    assert math.isfinite(float((grid.band.power_hat(uh) + grid.band.power_hat(qh)).sum()))
 
 
 @pytest.mark.parametrize("spec", ["0.5,0,2", "nan,2,2", "inf,2,2", "0.5,nan,2", "0.5,2,0.5"])

@@ -376,6 +376,24 @@ def test_sym_decomp_plane_budget(monkeypatch, n, r2c, c2r):
     assert (counts["r2c"], counts["c2r"]) == (r2c, c2r)
 
 
+def test_sym_decomp_skips_zero_low_pass_products(monkeypatch):
+    # S_{q-1}A has no blocks for q <= q_min + 1: at n = 128 a pair forms 32
+    # dense products (AB, J3 and the S_{q+2}B products, and the window
+    # products), not 41
+    from qflow import dyadic
+
+    g = Grid(128)
+    part = DyadicPartition(g)
+    a, b = s0_pair(g, 4)
+    calls = []
+    monkeypatch.setattr(dyadic, "mat_mul", lambda x, y: calls.append(1) or mat_mul(x, y))
+    ctx = SymDecompContext(part, a, b)
+    for q in part.qs:
+        lhs = ctx.block_product(q)
+        assert np.abs(sum(ctx.terms(q)) - lhs).max() <= 1e-10 * np.abs(lhs).max()
+    assert len(calls) == 32
+
+
 def test_commutator_constant_a_vanishes(part, grid):
     rng = np.random.default_rng(10)
     f = random_scalar(grid, rng)

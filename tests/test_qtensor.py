@@ -29,6 +29,7 @@ from qflow.qtensor import (
     vorticity_mat,
 )
 from qflow.spectral import Grid, random_scalar, random_velocity
+from tests.test_spectral import scatter
 
 
 @pytest.fixture(scope="module")
@@ -44,9 +45,10 @@ def params(**kw):
 
 def full_rhs(grid, s, p):
     """Full (u, Q) right-hand sides: nonlinear plus nu lap(u) and gamma L lap(Q)."""
-    n_uh, n_qh = nonlinear(grid, grid.rfft(s.u), grid.rfft(s.q), p)
-    return (grid.irfft(n_uh) + p.nu * grid.laplacian(s.u),
-            grid.irfft(n_qh) + p.gamma * p.L * grid.laplacian(s.q))
+    band = grid.band
+    n_uh, n_qh = nonlinear(grid, band.rfft(s.u), band.rfft(s.q), p)
+    return (band.irfft(n_uh) + p.nu * grid.laplacian(s.u),
+            band.irfft(n_qh) + p.gamma * p.L * grid.laplacian(s.q))
 
 
 def tensor_rhs(grid, s, p):
@@ -257,8 +259,9 @@ def test_nonlinear_friedrichs_matches_termwise_cut(grid):
     rng = np.random.default_rng(16)
     p = params(n_cutoff=4)
     s = State(random_velocity(grid, rng), random_qtensor(grid, rng))
-    n_uh, n_qh = nonlinear(grid, grid.rfft(s.u), grid.rfft(s.q), p)
-    n_u, n_q = grid.irfft(n_uh), grid.irfft(n_qh)
+    band = grid.band
+    n_uh, n_qh = nonlinear(grid, band.rfft(s.u), band.rfft(s.q), p)
+    n_u, n_q = band.irfft(n_uh), band.irfft(n_qh)
     ucut = grid.irfft(grid.freq_cutoff_hat(grid.rfft(s.u), 4))
     advh = grid.freq_cutoff_hat(grid.leray_hat(-grid.rfft(advect(grid, ucut, ucut))), 4)
     stressh = grid.freq_cutoff_hat(grid.leray_hat(grid.rfft(elastic_stress_div(grid, s.q, p))), 4)
@@ -270,17 +273,19 @@ def test_nonlinear_friedrichs_matches_termwise_cut(grid):
 
 def test_nonlinear_on_out_of_band_coefficients_matches_full_transforms(monkeypatch):
     # unmasked coefficients of an n = 16, kmax = 6 > n/3 state reach past
-    # column n//3; no transform may drop those columns
+    # column n//3; nonlinear takes their band block, and every band inverse
+    # equals irfft2 of the scattered block bit for bit
     g = Grid(16)
     rng = np.random.default_rng(17)
     uh = g.rfft(random_velocity(g, rng, kmax=6))
     qh = g.rfft(random_qtensor(g, rng, kmax=6))
     assert uh[..., g.n // 3 + 1:].any() and qh[..., g.n // 3 + 1:].any()
     p = params()
-    got = nonlinear(g, uh, qh, p)
+    got = nonlinear(g, g.gather(uh), g.gather(qh), p)
     monkeypatch.setattr(Grid, "irfft", lambda self, fh: scipy.fft.irfft2(
-        fh, s=(self.n, self.n), axes=(-2, -1), workers=self.workers))
-    for a, b in zip(got, nonlinear(g, uh, qh, p)):
+        scatter(self, fh) if self.in_band else fh, s=(self.n, self.n), axes=(-2, -1),
+        workers=self.workers))
+    for a, b in zip(got, nonlinear(g, g.gather(uh), g.gather(qh), p)):
         assert a.tobytes() == b.tobytes()
 
 

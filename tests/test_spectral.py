@@ -5,12 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflow import spectral
+from qflow.dyadic import shared_partition
 from qflow.spectral import Grid, random_scalar, random_velocity
 
 
 @pytest.fixture(scope="module")
 def grid():
     return Grid(64)
+
+
+def scatter(g: Grid, bh: np.ndarray) -> np.ndarray:
+    """The full-layout array of g holding the band block bh, zero elsewhere."""
+    n, m = g.n, g.n // 3
+    full = np.zeros(bh.shape[:-2] + (n, n // 2 + 1), dtype=bh.dtype)
+    full[..., : m + 1, : m + 1] = bh[..., : m + 1, :]
+    full[..., n - m:, : m + 1] = bh[..., m + 1:, :]
+    return full
 
 
 def test_grid_lattice_range():
@@ -60,15 +70,16 @@ def test_deriv_rejects_bad_axis_order(grid):
 @pytest.mark.parametrize("planes", [5, 2])
 def test_gradient_is_one_batched_irfft(grid, monkeypatch, planes, band):
     # one transform of the stacked (d1 f, d2 f), equal bit for bit to the
-    # per-axis transforms on the band-pruned and on the full-spectrum path
+    # per-axis transforms on the band view and on the full-spectrum path
     f = np.random.default_rng(planes).standard_normal((planes, grid.n, grid.n))
-    fh = grid.rfft(f, band=band)
+    g = grid.band if band else grid
+    fh = g.rfft(f)
     assert fh[..., grid.n // 3 + 1:].any() != band
-    expect = np.stack([grid.irfft(grid.deriv_hat(fh, axis)) for axis in (1, 2)])
+    expect = np.stack([g.irfft(g.deriv_hat(fh, axis)) for axis in (1, 2)])
     calls = []
     irfft = Grid.irfft
     monkeypatch.setattr(Grid, "irfft", lambda self, x: calls.append(x.shape) or irfft(self, x))
-    got = grid.gradient(fh)
+    got = g.gradient(fh)
     assert calls == [(2,) + fh.shape]
     assert got.shape == (2,) + f.shape and got.tobytes() == expect.tobytes()
 
@@ -192,24 +203,78 @@ def test_dealias_examples(grid):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_band_transforms_match_full_transforms(monkeypatch, workers):
-    # the band-pruned forward pass equals mask * rfft value for value; irfft
-    # equals irfft2 bit for bit whether or not its input's columns past n/3
-    # vanish (masked, column-truncated, unmasked), and only reads its input
+    # the band view's forward pass equals the gathered mask * rfft value for
+    # value, and its inverse equals irfft2 of the scattered block bit for
+    # bit; the full grid's irfft equals irfft2 bit for bit whether or not its
+    # input's columns past n/3 vanish (masked, column-truncated, unmasked);
+    # neither inverse writes to its input
     monkeypatch.setenv("QFLOW_THREADS", workers)
     rng = np.random.default_rng(11)
     for n in (8, 16, 32, 64, 128, 256):
         for length in (2 * np.pi, 3.7):
             g = Grid(n, length=length)
+            band = g.band
             cols = np.arange(n // 2 + 1) <= n / 3  # the columns the band transforms keep
             for lead in ((), (2,), (5,), (2, 3)):
                 f = rng.normal(size=lead + (n, n))
                 full = g.rfft(f)
-                assert np.array_equal(g.rfft(f, band=True), g.dealias_mask * full)
+                bh = band.rfft(f)
+                assert bh.shape == lead + (2 * (n // 3) + 1, n // 3 + 1)
+                assert np.array_equal(bh, g.gather(g.dealias_mask * full))
+                before = bh.copy()
+                expect = scipy.fft.irfft2(scatter(g, bh), s=(n, n), axes=(-2, -1))
+                assert band.irfft(bh).tobytes() == expect.tobytes()
+                assert bh.tobytes() == before.tobytes()
                 for fh in (g.dealias_mask * full, cols * full, full):
                     before = fh.copy()
                     expect = scipy.fft.irfft2(fh, s=(n, n), axes=(-2, -1))
                     assert g.irfft(fh).tobytes() == expect.tobytes()
                     assert fh.tobytes() == before.tobytes()
+
+
+def test_band_view_layout():
+    # one (2m+1, m+1) block of the in-band modes, m = n//3, with tables
+    # gathered from the full grid; built once and without __post_init__
+    g = Grid(32, length=3.7)
+    band = g.band
+    assert band is g.band and band.band is band and band.in_band and not g.in_band
+    assert band == g and band.n == g.n and band.length == g.length
+    for name in ("k1", "k2", "ksq", "ksq_safe", "kmag", "dealias_mask"):
+        table = getattr(band, name)
+        assert table.shape == (21, 11)
+        assert np.array_equal(scatter(g, table), np.where(g.dealias_mask, getattr(g, name), 0))
+    assert band.dealias_mask.all() and g.dealias_mask.sum() == band.dealias_mask.size
+    assert np.array_equal(band.parseval, g.parseval[:, :11])
+    assert band.rfft(np.zeros((3, 32, 32))).shape == (3, 21, 11)
+    with pytest.raises(ValueError, match="band view"):
+        shared_partition(band)
+
+
+@pytest.mark.parametrize("n, length", [(16, 2 * np.pi), (32, 3.7)])
+def test_band_multipliers_match_gathered_full_layout(n, length):
+    # every multiplier on band arrays equals the gathered full-layout result
+    # value for value, and power_sum gives the bits of the full-layout sum
+    g = Grid(n, length=length)
+    band = g.band
+    rng = np.random.default_rng(n)
+    full = g.dealias_mask * g.rfft(rng.normal(size=(2, n, n)))
+    bh = g.gather(full)
+    assert np.array_equal(band.leray_hat(bh), g.gather(g.leray_hat(full)))
+    assert np.array_equal(band.laplacian_hat(bh), g.gather(g.laplacian_hat(full)))
+    for axis in (1, 2):
+        assert np.array_equal(band.deriv_hat(bh, axis), g.gather(g.deriv_hat(full, axis)))
+    for m in (1, 2, 4):
+        assert np.array_equal(band.freq_cutoff_hat(bh, m), g.gather(g.freq_cutoff_hat(full, m)))
+    assert band.gradient(bh).tobytes() == g.gradient(full).tobytes()
+    power = band.power_hat(bh)
+    assert np.array_equal(power, g.gather(g.power_hat(full)))
+    weight = g.ksq**2
+    assert band.power_sum(power, g.gather(weight)) == g.power_sum(g.power_hat(full), weight)
+    assert band.power_sum(power) == g.power_sum(g.power_hat(full))
+    inner = g.inner_hat(full, full, weight)
+    assert abs(band.inner_hat(bh, bh, g.gather(weight)) - inner) <= 1e-14 * inner
+    f = rng.normal(size=(n, n))
+    assert g.dealias(f).tobytes() == g.irfft(g.dealias_mask * g.rfft(f)).tobytes()
 
 
 def test_random_velocity_invariants(grid):

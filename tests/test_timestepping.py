@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from qflow import dyadic, spectral, timestepping
 from qflow.dyadic import DyadicPartition
 from qflow.qtensor import ModelParams, State, _bulk_products, nonlinear, random_qtensor, state_planes
 from qflow.spectral import Grid, random_velocity
+from tests.test_spectral import scatter
 from qflow.timestepping import (
     BandError,
     BlowUpError,
@@ -13,6 +15,7 @@ from qflow.timestepping import (
     TimeConfig,
     Trajectory,
     run,
+    probe_weights,
     standard_probes,
     twin_run,
 )
@@ -62,12 +65,13 @@ def test_constant_q_relaxation_order(grid):
     q0 = np.zeros((5, grid.n, grid.n))
     q0[1] = 0.05
     errs = []
+    band = grid.band
     for dt in (0.02, 0.01, 0.005):
-        uh, qh = grid.rfft(np.zeros((2, grid.n, grid.n))), grid.rfft(q0)
+        uh, qh = band.rfft(np.zeros((2, grid.n, grid.n))), band.rfft(q0)
         stepper = Stepper(grid, p, TimeConfig(dt=dt))
         for _ in range(round(1.0 / dt)):
             uh, qh = stepper.step(uh, qh, dt)
-        errs.append(np.abs(grid.irfft(qh) - q0 * np.exp(-p.gamma * p.a)).max())
+        errs.append(np.abs(band.irfft(qh) - q0 * np.exp(-p.gamma * p.a)).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders.min() >= 1.9  # global order 2 = local O(dt^3)
 
@@ -76,11 +80,12 @@ def test_taylor_green_integrating_factor_exact(grid):
     x, y = grid.nodes()
     u0 = np.stack([np.sin(x) * np.cos(y), -np.cos(x) * np.sin(y)])
     p = params(nu=0.3)
-    uh, qh = grid.rfft(u0), grid.rfft(np.zeros((5, grid.n, grid.n)))
+    band = grid.band
+    uh, qh = band.rfft(u0), band.rfft(np.zeros((5, grid.n, grid.n)))
     stepper = Stepper(grid, p, TimeConfig(dt=0.01))
     for _ in range(10):
         uh, qh = stepper.step(uh, qh, 0.01)
-    assert np.abs(grid.irfft(uh) - u0 * np.exp(-2 * p.nu * 0.1)).max() <= 1e-13
+    assert np.abs(band.irfft(uh) - u0 * np.exp(-2 * p.nu * 0.1)).max() <= 1e-13
 
 
 def test_run_zero_horizon(grid):
@@ -301,7 +306,7 @@ def test_step_and_probe_plane_budget(monkeypatch, n_cutoff):
     g = Grid(16)
     p = params(n_cutoff=n_cutoff)
     s = smooth_state(g, kmax=4)
-    uh, qh = g.rfft(s.u), g.rfft(s.q)
+    uh, qh = g.band.rfft(s.u), g.band.rfft(s.q)
     stepper = Stepper(g, p, TimeConfig(dt=1e-3))
     part = DyadicPartition(g)
     counts = count_planes(monkeypatch)
@@ -319,7 +324,8 @@ def test_step_and_probe_plane_budget(monkeypatch, n_cutoff):
     assert planes(nonlinear, g, uh, qh, p, planes=True) == (12, 24 + cut)
     # a record without k1: u, Q, the tr(Q^2) round trip and five lap Q planes
     assert planes(state_planes, g, uh, qh, p) == (1, 13)
-    assert planes(standard_probes, g, part, rec, uh, qh, p, (0.5,)) == (0, 0)
+    weights = probe_weights(g, part, (1.0, 0.5))
+    assert planes(standard_probes, g, weights, rec, uh, qh, p, (0.5,)) == (0, 0)
 
     # run, per step: stage 1 with the record of the state it follows, then stage 2
     def per_step(runner, tcs):
@@ -331,7 +337,7 @@ def test_step_and_probe_plane_budget(monkeypatch, n_cutoff):
     # twin_run, per twin step: two member steps; a probe row transforms nothing
     twin = Perturbation(1e-3, seed=1)
     assert per_step(lambda tc: twin_run(g, s, twin, p, tc), fixed) == (48, 92)
-    w = part.sobolev_weight(-0.5)
+    w = probe_weights(g, part, (-0.5,))
     assert planes(timestepping._twin_probes, g, w, (uh, qh), (uh, 2.0 * qh), p) == (0, 0)
     # with dt = auto, member 1's record sizes the step and its stage 1 gives k1
     auto = [TimeConfig(dt="auto", t_end=m * 0.15) for m in (2, 3)]  # dt is about 0.157
@@ -352,6 +358,30 @@ def test_stepping_path_takes_only_pruned_inverse_transforms(monkeypatch, n_cutof
     tc = TimeConfig(dt=1e-3, t_end=3e-3)
     run(g, s, p, tc, hs_probes=(0.5,))
     twin_run(g, s, Perturbation(0.0), p, tc)  # eps > 0 draws its fields by full transforms
+
+
+@pytest.mark.parametrize("n, n_cutoff", [(16, None), (32, None), (16, 4), (32, 4)])
+def test_band_inverse_on_run_arrays_matches_irfft2_of_scattered(monkeypatch, n, n_cutoff):
+    # every band inverse of a run and a twin run at len 3.7 equals irfft2 of
+    # its block scattered into the full layout, bit for bit
+    g = Grid(n, length=3.7)
+    p = params(n_cutoff=n_cutoff)
+    s = smooth_state(g, kmax=n // 4)
+    irfft, seen = Grid.irfft, []
+
+    def checked(self, fh):
+        out = irfft(self, fh)
+        if self.in_band:
+            want = scipy.fft.irfft2(scatter(self, fh), s=(n, n), axes=(-2, -1))
+            assert out.tobytes() == want.tobytes()
+            seen.append(fh.shape)
+        return out
+
+    monkeypatch.setattr(Grid, "irfft", checked)
+    tc = TimeConfig(dt=1e-2, t_end=2e-2)
+    run(g, s, p, tc, hs_probes=(0.5,))
+    twin_run(g, s, Perturbation(1e-3, seed=2), p, tc)
+    assert len(seen) > 50
 
 
 @pytest.mark.parametrize("n, length, n_cutoff", [
@@ -391,7 +421,7 @@ def test_coefficient_channels_match_physical_quadrature(n, length, n_cutoff):
         close(row["hs0p5_lapq2"], g.inner_hat(qh, qh, w * g.ksq**2))
         assert g.divergence_residual(uh) <= 1e-12
         # the P(Q) pairings, taken by quadrature, against the spectral pairing
-        pqh = g.rfft(_bulk_products(g, st.q, p), band=True) - p.a * qh
+        pqh = g.dealias_mask * g.rfft(_bulk_products(g, st.q, p)) - p.a * qh
         for key, want in (("pq_q", g.inner_hat(pqh, qh)),
                           ("pq_lapq", -g.inner_hat(pqh, qh, g.ksq))):
             assert abs(row[key] - want) <= 1e-13 * abs(want), (key, row[key], want)
@@ -433,12 +463,12 @@ def test_twin_auto_dt_follows_member_one():
         assert np.array_equal(twin.times, solo.times)
 
         stepper = Stepper(g, p, tc)
-        uh, qh = g.dealias_mask * g.rfft(init.u), g.dealias_mask * g.rfft(init.q)
+        uh, qh = g.gather(g.rfft(init.u)), g.gather(g.rfft(init.q))
         s, times = init, [0.0]
         while times[-1] < tc.t_end - 1e-12:
             dt = min(stepper.auto_dt(s), tc.t_end - times[-1])
             uh, qh = stepper.step(uh, qh, dt)
-            s = State(g.irfft(uh), g.irfft(qh))
+            s = State(g.band.irfft(uh), g.band.irfft(qh))
             times.append(times[-1] + dt)
         assert np.array_equal(solo.times, times)
 
@@ -451,7 +481,7 @@ def test_non_finite_step_reports_input_state(monkeypatch):
     init = smooth_state(g, amp_u=0.5, amp_q=2.0, kmax=4)
     stepper = Stepper(g, p, TimeConfig(dt=2.0))
     # the in-band coefficients that run() steps from
-    uh, qh = g.dealias_mask * g.rfft(init.u), g.dealias_mask * g.rfft(init.q)
+    uh, qh = g.gather(g.rfft(init.u)), g.gather(g.rfft(init.q))
     monkeypatch.setattr(timestepping, "ENERGY_GUARD", np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(100):
@@ -464,8 +494,8 @@ def test_non_finite_step_reports_input_state(monkeypatch):
         else:
             pytest.fail("the step never left the finite range")
         assert np.isnan(err.t)
-        assert err.diagnostics == {"max_u": np.abs(g.irfft(uh)).max(),
-                                   "max_q": np.abs(g.irfft(qh)).max(), "dt": 2.0}
+        assert err.diagnostics == {"max_u": np.abs(g.band.irfft(uh)).max(),
+                                   "max_q": np.abs(g.band.irfft(qh)).max(), "dt": 2.0}
         rec = Trajectory(g, p)
         with pytest.raises(BlowUpError, match="non-finite") as info:
             run(g, init, p, TimeConfig(dt=2.0, t_end=400.0), sink=rec)
