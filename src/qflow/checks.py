@@ -249,6 +249,7 @@ def commutator_estimate_check(grid: Grid, trials: int = 100, seed: int = 0) -> R
     part = shared_partition(grid)
     rng = np.random.default_rng(seed)
     cfit = 0.0
+    vacuous = True
     for _ in range(trials):
         a = random_scalar(grid, rng)
         f = random_scalar(grid, rng)
@@ -259,9 +260,10 @@ def commutator_estimate_check(grid: Grid, trials: int = 100, seed: int = 0) -> R
         sgrada = part.lowpass(grada, qp - 1)
         rhs = 2.0 ** (-q) * grid.norm_lp(sgrada, np.inf) * grid.norm_l2(part.block(f, qp))
         if rhs > DENOM_FLOOR:
+            vacuous = False
             cfit = max(cfit, grid.norm_l2(comm) / rhs)
     return _fitted("commutator_estimate", "commutator_estimate", "C", cfit, grid,
-                   f"trials={trials} seed={seed} n={grid.n}")
+                   f"trials={trials} seed={seed} n={grid.n}", vacuous)
 
 
 def neg_index_check(grid: Grid, s: float = -0.5, trials: int = 100, seed: int = 0) -> Report:

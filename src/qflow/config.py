@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qtensor import ModelParams, State, random_qtensor
-from .spectral import Grid, random_velocity
+from .spectral import MAX_N, Grid, random_velocity
 from .timestepping import MAX_STEPS, TimeConfig
 
 
@@ -34,9 +34,6 @@ _REQUIRED: tuple[tuple[str, str], ...] = (
 )
 
 PRESETS = ("taylor_green", "uniaxial_wave", "random_spectrum")
-
-#: Largest grid n: one (n, n) float plane is then 32 GiB, past any desk machine.
-MAX_N = 2**16
 
 
 @dataclass

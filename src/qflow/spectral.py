@@ -26,6 +26,10 @@ import numpy as np
 import scipy.fft
 
 
+#: Largest grid n: one (n, n) float plane is then 32 GiB, past any desk machine.
+MAX_N = 2**16
+
+
 def fft_workers() -> int:
     """Worker count for scipy FFTs, capped by the QFLOW_THREADS env var."""
     raw = os.environ.get("QFLOW_THREADS", "1")
@@ -63,7 +67,7 @@ class Grid:
     Parameters
     ----------
     n : int
-        Points per axis; must be a power of two, n >= 8.
+        Points per axis; a power of two in [8, MAX_N].
     length : float
         Physical period of the torus (default 2*pi).
     """
@@ -85,8 +89,8 @@ class Grid:
 
     def __post_init__(self) -> None:
         n = self.n
-        if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError(f"grid size must be a power of two >= 8, got {n}")
+        if not 8 <= n <= MAX_N or (n & (n - 1)) != 0:
+            raise ValueError(f"grid size must be a power of two in [8, {MAX_N}], got {n}")
         if not self.length > 0:
             raise ValueError(f"period must be positive, got {self.length}")
         half = n // 2 + 1
@@ -128,8 +132,6 @@ class Grid:
             object.__setattr__(view, name, self.gather(getattr(self, name)))
         object.__setattr__(view, "parseval", self.parseval[:, : self.n // 3 + 1])
         object.__setattr__(view, "in_band", True)
-        # full-layout scratch for power_sum; only its band entries are ever written
-        object.__setattr__(view, "_sum_buf", np.zeros((self.n, self.n // 2 + 1)))
         return view
 
     def gather(self, fh: np.ndarray) -> np.ndarray:
@@ -137,15 +139,9 @@ class Grid:
         n, m = self.n, self.n // 3
         return np.concatenate((fh[..., : m + 1, : m + 1], fh[..., n - m :, : m + 1]), axis=-2)
 
-    def _put(self, out: np.ndarray, bh: np.ndarray) -> None:
-        """Write the band block bh into the rows of its modes in out, whose columns are 0..m."""
-        n, m = self.n, self.n // 3
-        out[..., : m + 1, :] = bh[..., : m + 1, :]
-        out[..., n - m :, :] = bh[..., m + 1 :, :]
-
     # -- transforms ---------------------------------------------------------
 
-    # The band-pruned passes run the complex first-axis pass on the m+1 =
+    # The band view's pruned passes run the complex first-axis pass on the m+1 =
     # n//3+1 columns k2 <= n/3 only.  n is a power of two, so the inverse's
     # two 1/n scalings equal irfft2's one 1/n^2 exactly.  Each call makes
     # exactly one call of a scipy.fft N-D entry point, so a library-level
@@ -166,23 +162,19 @@ class Grid:
     def irfft(self, fh: np.ndarray) -> np.ndarray:
         """Inverse half-spectrum transform (carries 1/n^2) to a real field.
 
-        On the band view fh is the in-band block, scattered into a zeroed
-        scratch buffer for the band-pruned pass.  On the full grid, when fh
-        vanishes in the columns k2 > n/3 (any in-band field does) the pass
-        is band-pruned, with the same result bit for bit; the kept columns
-        are copied into scratch, so fh is not touched.
+        On the full grid it is one irfft2.  On the band view fh is the
+        in-band block, scattered into a zeroed scratch buffer for the
+        band-pruned pass, so fh is not touched.
         """
-        n, cut = self.n, self.n // 3 + 1
-        if not self.in_band and fh[..., cut:].any():
+        n, m = self.n, self.n // 3
+        if not self.in_band:
             return scipy.fft.irfft2(fh, s=(n, n), axes=(-2, -1), workers=self.workers)
         buf = np.empty(fh.shape[:-2] + (n, n // 2 + 1), dtype=complex)
-        buf[..., cut:] = 0.0
-        kept = buf[..., :cut]
-        if self.in_band:
-            kept[..., cut : n - cut + 1, :] = 0.0
-            self._put(kept, fh)
-        else:
-            kept[...] = fh[..., :cut]
+        buf[..., m + 1 :] = 0.0
+        kept = buf[..., : m + 1]
+        kept[..., : m + 1, :] = fh[..., : m + 1, :]
+        kept[..., m + 1 : n - m, :] = 0.0
+        kept[..., n - m :, :] = fh[..., m + 1 :, :]
         _in_place(scipy.fft.ifft, kept, self.workers)
         return scipy.fft.irfftn(buf, s=(n,), axes=(-1,), workers=self.workers)
 
@@ -313,22 +305,15 @@ class Grid:
             self.parseval * (self.cell_area / self.n**2))
 
     def power_sum(self, power: np.ndarray, weight: np.ndarray | None = None) -> float:
-        """sum(power * weight) of a power_hat table, summed in the order of the full layout.
-
-        On the band view the products are written into the band entries of
-        a zeroed full-layout buffer first, so a band table gives the bits of
-        its full-layout twin (power_hat vanishes outside the band there).
-        """
-        if not self.in_band:
-            return float(np.sum(power if weight is None else power * weight))
-        buf = self._sum_buf
-        self._put(buf[:, : self.n // 3 + 1], power if weight is None else power * weight)
-        return float(np.sum(buf))
+        """sum(power * weight) of a power_hat table of this grid's layout."""
+        return float(np.sum(power if weight is None else power * weight))
 
     def divergence_residual(self, vh: np.ndarray) -> float:
-        """max_k |k . v_hat(k)| relative to the coefficient magnitude."""
+        """max_k |k . v_hat(k)| relative to the coefficient magnitude times the
+        full lattice's largest |k|, at (n/2, n/2), on either layout."""
         kdotv = np.abs(self.k1 * vh[0] + self.k2 * vh[1])
-        scale = np.abs(vh).max(initial=0.0) * max(self.kmag.max(), 1.0)
+        corner = (self.n // 2) * (2.0 * np.pi / self.length)
+        scale = np.abs(vh).max(initial=0.0) * max(np.sqrt(corner**2 + corner**2), 1.0)
         if scale == 0.0:
             return 0.0
         return float(kdotv.max() / scale)

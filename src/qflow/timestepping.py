@@ -220,7 +220,7 @@ def probe_weights(grid: Grid, part: DyadicPartition, hs: tuple[float, ...] = ()
     "ksq", "ksq2" and "h2" hold |k|^2, |k|^4 and (1 + |k|^2)^2; for each s in
     hs, "hs<tag>", "hs<tag>_ksq" and "hs<tag>_ksq2" hold the H^s weight of
     part, w_s, times 1, |k|^2 and |k|^4.  Each is the expression the channel
-    reads, evaluated on gathered tables, so every channel keeps its bits.
+    reads, evaluated on gathered tables.
     """
     ksq = grid.band.ksq
     out = {"ksq": ksq, "ksq2": ksq**2, "h2": (1.0 + ksq) ** 2}
@@ -373,23 +373,23 @@ def _drive(stepper: Stepper, members: list[tuple[np.ndarray, np.ndarray]], t0: f
 # -- twin runs --------------------------------------------------------------------
 
 
+#: (kmin, kmax, decay) of every perturbation field; kmax None is n/4
+PERTURB_SPECTRUM = (1.0, None, 2.0)
+
+
 @dataclass(frozen=True)
 class Perturbation:
     """Seeded, mean-zero, solenoidal-in-u perturbation of size eps."""
 
     eps: float
     seed: int = 0
-    kmin: float = 1.0
-    kmax: float | None = None
-    decay: float = 2.0
 
     def apply(self, grid: Grid, s: State) -> State:
         if self.eps == 0.0:
             return s.copy()
         rng = np.random.default_rng(self.seed)
-        du = random_velocity(grid, rng, self.kmin, self.kmax, self.decay)
-        dq = np.stack([random_scalar(grid, rng, self.kmin, self.kmax, self.decay)
-                       for _ in range(5)])
+        du = random_velocity(grid, rng, *PERTURB_SPECTRUM)
+        dq = np.stack([random_scalar(grid, rng, *PERTURB_SPECTRUM) for _ in range(5)])
         return State(s.u + self.eps * du, s.q + self.eps * dq, s.t)
 
 

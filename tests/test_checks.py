@@ -113,6 +113,16 @@ def test_commutator_estimate_baseline_behaviour(grid, monkeypatch):
     assert not tight.passed and tight.tolerance == C.SLACK * rep.fitted["C"] / 2.0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_commutator_estimate_marks_vacuous_fit(seed):
+    # at n = 8 these two-trial ensembles leave no denominator above the
+    # floor, so C* = 0 was fitted from no trial: a vacuous pass, said so
+    rep = C.commutator_estimate_check(Grid(8), trials=2, seed=seed)
+    assert rep.passed and rep.note == "vacuous" and rep.fitted == {"C": 0.0}
+    assert str(rep).endswith("[vacuous]")
+    assert C.commutator_estimate_check(Grid(8), trials=2, seed=2).note != "vacuous"
+
+
 def test_neg_index_and_product_checks(grid):
     rep = C.neg_index_check(grid, -0.5, trials=25, seed=0)
     assert rep.passed and 0.9 <= rep.measured["ratio_min"] <= rep.measured["ratio_max"] <= 1.0

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflow import cli, config, dyadic, snapshots
+from qflow import cli, config, dyadic, snapshots, spectral
 from qflow.cli import main
 from qflow.config import (MAX_STEPS, ConfigError, build_initial_state, parse_config, taylor_green,
                           uniaxial_wave)
@@ -111,6 +111,21 @@ def test_config_rejects_bad_grid():
     for n in (2**17, 2**1100):
         with pytest.raises(ConfigError, match=r"line 3: grid n must be a power of two in \[8, 65536\]"):
             parse_config(MINIMAL.replace("n = 32", f"n = {n}"))
+
+
+def test_grid_size_cap_holds_on_every_path(monkeypatch):
+    # Grid refuses n > MAX_N before it builds a table, so `qflow check`
+    # stops with the same cap as the config; a table at 2^17 would take 68 GB
+    def refuse(n):
+        raise AssertionError(f"lattice tables built at n = {n}")
+
+    monkeypatch.setattr(spectral, "_lattice_index", refuse)
+    cap = r"grid size must be a power of two in \[8, 65536\], got 131072"
+    assert config.MAX_N == spectral.MAX_N == 2**16
+    with pytest.raises(ValueError, match=cap):
+        Grid(2 * spectral.MAX_N)
+    with pytest.raises(SystemExit, match="error: " + cap):
+        main(["check", "partition", "--n", "131072"])
 
 
 def test_config_probe_parsing():

@@ -205,9 +205,8 @@ def test_dealias_examples(grid):
 def test_band_transforms_match_full_transforms(monkeypatch, workers):
     # the band view's forward pass equals the gathered mask * rfft value for
     # value, and its inverse equals irfft2 of the scattered block bit for
-    # bit; the full grid's irfft equals irfft2 bit for bit whether or not its
-    # input's columns past n/3 vanish (masked, column-truncated, unmasked);
-    # neither inverse writes to its input
+    # bit; the full grid's irfft is irfft2 for every input (masked,
+    # column-truncated, unmasked); neither inverse writes to its input
     monkeypatch.setenv("QFLOW_THREADS", workers)
     rng = np.random.default_rng(11)
     for n in (8, 16, 32, 64, 128, 256):
@@ -232,6 +231,24 @@ def test_band_transforms_match_full_transforms(monkeypatch, workers):
                     assert fh.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("band", [True, False], ids=["in_band", "out_of_band"])
+def test_full_grid_irfft_is_one_irfft2_call(monkeypatch, band):
+    # only the band view prunes: on the full grid the inverse is one irfft2
+    # call and no other scipy.fft call, whether or not its input is in band
+    g = Grid(32)
+    fh = g.rfft(np.random.default_rng(3).normal(size=(2, 32, 32)))
+    if band:
+        fh = g.dealias_mask * fh
+    expect = scipy.fft.irfft2(fh, s=(32, 32), axes=(-2, -1))
+    calls = []
+    for name in ("irfft2", "irfftn", "ifft", "fft", "ifft2", "rfftn"):
+        fn = getattr(scipy.fft, name)
+        monkeypatch.setattr(scipy.fft, name,
+                            lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
+    assert g.irfft(fh).tobytes() == expect.tobytes()
+    assert calls == ["irfft2"]
+
+
 def test_band_view_layout():
     # one (2m+1, m+1) block of the in-band modes, m = n//3, with tables
     # gathered from the full grid; built once and without __post_init__
@@ -253,7 +270,9 @@ def test_band_view_layout():
 @pytest.mark.parametrize("n, length", [(16, 2 * np.pi), (32, 3.7)])
 def test_band_multipliers_match_gathered_full_layout(n, length):
     # every multiplier on band arrays equals the gathered full-layout result
-    # value for value, and power_sum gives the bits of the full-layout sum
+    # value for value; power_sum sums the band table it is given, and agrees
+    # with the full-layout sum at roundoff (the two add in different orders);
+    # both layouts scale the divergence residual by the full lattice's largest |k|
     g = Grid(n, length=length)
     band = g.band
     rng = np.random.default_rng(n)
@@ -266,11 +285,16 @@ def test_band_multipliers_match_gathered_full_layout(n, length):
     for m in (1, 2, 4):
         assert np.array_equal(band.freq_cutoff_hat(bh, m), g.gather(g.freq_cutoff_hat(full, m)))
     assert band.gradient(bh).tobytes() == g.gradient(full).tobytes()
+    div = np.abs(g.k1 * full[0] + g.k2 * full[1]).max() / (np.abs(full).max() * g.kmag.max())
+    assert band.divergence_residual(bh) == g.divergence_residual(full) == div
     power = band.power_hat(bh)
     assert np.array_equal(power, g.gather(g.power_hat(full)))
     weight = g.ksq**2
-    assert band.power_sum(power, g.gather(weight)) == g.power_sum(g.power_hat(full), weight)
-    assert band.power_sum(power) == g.power_sum(g.power_hat(full))
+    for bw, w in ((g.gather(weight), weight), (None, None)):
+        got = band.power_sum(power, bw)
+        assert got == float(np.sum(power if bw is None else power * bw))
+        ref = g.power_sum(g.power_hat(full), w)
+        assert abs(got - ref) <= 1e-14 * ref
     inner = g.inner_hat(full, full, weight)
     assert abs(band.inner_hat(bh, bh, g.gather(weight)) - inner) <= 1e-14 * inner
     f = rng.normal(size=(n, n))

@@ -512,7 +512,7 @@ def out_of_band_noise(g, share, seed=0):
     return np.sqrt(share) * noise / np.sqrt(np.sum(noise**2))
 
 
-def test_band_guard_rejects_out_of_band_initial_state():
+def test_band_guard_rejects_out_of_band_initial_state(monkeypatch):
     # data past n/3 would make the first products alias: run and twin_run
     # refuse it (n = 16, kmax = 6 > 16/3, about 1e-2 of the energy)
     g = Grid(16)
@@ -524,8 +524,9 @@ def test_band_guard_rejects_out_of_band_initial_state():
         with pytest.raises(BandError, match="initial state has .* outside the dealias band"):
             call()
     # an out-of-band perturbation of in-band data is refused too
+    monkeypatch.setattr(timestepping, "PERTURB_SPECTRUM", (1.0, 6, 2.0))
     with pytest.raises(BandError, match="perturbed initial state"):
-        twin_run(g, smooth_state(g, kmax=4), Perturbation(1e-3, kmax=6), p, tc)
+        twin_run(g, smooth_state(g, kmax=4), Perturbation(1e-3), p, tc)
 
 
 @pytest.mark.parametrize("scale", [1e308, np.inf, np.nan])
