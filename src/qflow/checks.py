@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import NormSpec, SymDecompContext, commutator, product_estimate_sample, shared_partition
+from .dyadic import (NormSpec, SymDecompContext, commutator, neg_index_equiv,
+                     product_estimate_sample, shared_partition)
 from .qtensor import (
     ModelParams,
     State,
@@ -268,8 +269,6 @@ def commutator_estimate_check(grid: Grid, trials: int = 100, seed: int = 0) -> R
 
 def neg_index_check(grid: Grid, s: float = -0.5, trials: int = 100, seed: int = 0) -> Report:
     """Ratio band for the lowpass characterization of negative-index norms."""
-    from .dyadic import neg_index_equiv
-
     part = shared_partition(grid)
     rng = np.random.default_rng(seed)
     spec = NormSpec(s)

@@ -11,14 +11,16 @@ are truncated to the band [q_min, q_max] resolvable on the grid; every
 block outside that band vanishes identically on the lattice, so all the
 telescoping identities below are exact.  The homogeneous calculus acts on
 mean-zero fields; zero modes are dropped by every multiplier.  All
-multiplier tables share the grid's half-spectrum shape (n, n//2+1).
+multiplier tables have the grid's half-spectrum shape (n, n//2+1); block
+inverses may run on the box view of phi_q's support (block_irfft).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +71,9 @@ class DyadicPartition:
             q: chi_profile(g.kmag * 2.0 ** (-q - 1)) - chi_profile(g.kmag * 2.0 ** (-q))
             for q in range(self.q_min, self.q_max + 1)
         }
+        # the least m with phi_q zero outside the box max(|k1|, |k2|) <= m, read from the table
+        cheb = np.rint(np.maximum(np.abs(g.k1), g.k2) * (g.length / (2.0 * np.pi)))
+        self.support = {q: int(cheb[phi != 0].max(initial=0)) for q, phi in self.phi.items()}
         self._weights: dict[float, np.ndarray] = {}
 
     @property
@@ -87,9 +92,21 @@ class DyadicPartition:
         m[0, 0] = 0.0
         return m
 
+    def block_irfft(self, fh: np.ndarray, *qs: int) -> np.ndarray:
+        """irfft of the product of the phi_q over qs with full-layout coefficients fh.
+
+        The product vanishes outside the support box m of the narrowest phi_q.
+        Where 4m < n it is formed and inverse-transformed on that box view,
+        whose pruned pass beats irfft2 there, else on the full grid: same bits.
+        """
+        m = min(self.support[q] for q in qs)
+        g = self.grid.box(m) if 4 * m < self.grid.n else self.grid
+        mult = functools.reduce(operator.mul, (g.gather(self.phi[q]) for q in qs))
+        return g.irfft(mult * g.gather(fh))
+
     def block(self, f: np.ndarray, q: int) -> np.ndarray:
         self.require_q(q)
-        return self.grid.irfft(self.phi[q] * self.grid.rfft(f))
+        return self.block_irfft(self.grid.rfft(f), q)
 
     def lowpass(self, f: np.ndarray, j: int) -> np.ndarray:
         return self.grid.irfft(self.lowpass_multiplier(j) * self.grid.rfft(f))
@@ -112,7 +129,8 @@ class DyadicPartition:
 
     def besov_norm(self, f: np.ndarray, spec: NormSpec) -> float:
         """Lattice-truncated homogeneous Besov norm of the mean-zero part of f."""
-        return _lr_norm(self, self.grid.rfft(self.grid.zero_mean(f)), spec, self.phi.get)
+        fh = self.grid.rfft(self.grid.zero_mean(f))
+        return _lr_norm(self, spec, (self.block_irfft(fh, q) for q in self.qs))
 
     # -- Bony paraproduct -------------------------------------------------------
 
@@ -125,8 +143,8 @@ class DyadicPartition:
         f = self.grid.zero_mean(f)
         g = self.grid.zero_mean(g)
         fh, gh = self.grid.rfft(f), self.grid.rfft(g)
-        bf = {q: self.grid.irfft(self.phi[q] * fh) for q in self.qs}
-        bg = {q: self.grid.irfft(self.phi[q] * gh) for q in self.qs}
+        bf = {q: self.block_irfft(fh, q) for q in self.qs}
+        bg = {q: self.block_irfft(gh, q) for q in self.qs}
         sf = self._prefix_sums(bf)
         sg = self._prefix_sums(bg)
 
@@ -157,10 +175,10 @@ class DyadicPartition:
 def shared_partition(grid: Grid) -> DyadicPartition:
     """One DyadicPartition per (n, length, FFT workers), shared with its weight tables.
 
-    grid must be a full grid: its band view compares equal to it but holds band tables.
+    grid must be a full grid: a box view compares equal to it but holds box tables.
     """
-    if grid.in_band:
-        raise ValueError("shared_partition needs the full grid, not its band view")
+    if grid.m is not None:
+        raise ValueError(f"shared_partition needs the full grid, not its box view box({grid.m})")
     return _partition(grid, grid.workers)
 
 
@@ -191,13 +209,12 @@ class SymDecompContext:
     def __init__(self, part: DyadicPartition, a: np.ndarray, b: np.ndarray):
         if any(f.ndim != 3 or f.shape[0] != 5 for f in (a, b)):
             raise ValueError(f"S0 planes (5, n, n) expected, got {a.shape} and {b.shape}")
-        g = self.grid = part.grid
-        self.part = part
+        g, self.part = part.grid, part
         a, b = g.zero_mean(a), g.zero_mean(b)
         ah, self.bh = g.rfft(a), g.rfft(b)
         self.ab_hat = g.rfft(mat_mul(q_to_mat(a), q_to_mat(b)))
-        block_a = {q: g.irfft(part.phi[q] * ah) for q in part.qs}
-        block_b = {q: g.irfft(part.phi[q] * self.bh) for q in part.qs}
+        block_a = {q: part.block_irfft(ah, q) for q in part.qs}
+        block_b = {q: part.block_irfft(self.bh, q) for q in part.qs}
         # a J1 window [lo, hi] and a J4 start lo read the running sums over
         # ascending q' only at hi, at lo - 1 and at q_max (always some hi)
         self.window = {q: (max(q - 5, part.q_min), min(q + 5, part.q_max)) for q in part.qs}
@@ -230,10 +247,10 @@ class SymDecompContext:
         self._pair: dict[tuple[int, int], np.ndarray] = {}
 
     def terms(self, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        part, g = self.part, self.grid
+        part = self.part
         lo, hi = self.window[q]
-        j1 = g.irfft(part.phi[q] * self.w1[lo, hi])
-        j4 = g.irfft(part.phi[q] * self.w4[lo])
+        j1 = part.block_irfft(self.w1[lo, hi], q)
+        j4 = part.block_irfft(self.w4[lo], q)
         held, self._pair = self._pair, {}
         # with m_{q'} = S_{q'-1}A block_q block_{q'} B, J1 subtracts every m_{q'} and
         # J2 = sum_{q' != q} m_{q'} - S_{q-1}A sum_{q' != q} block_q block_{q'} B;
@@ -242,7 +259,7 @@ class SymDecompContext:
         for qp in range(max(q - 1, part.q_min), min(q + 1, part.q_max) + 1):
             dd = held.get((qp, q))
             if dd is None:
-                dd = g.irfft(part.phi[q] * part.phi[qp] * self.bh)
+                dd = part.block_irfft(self.bh, q, qp)
             if qp > q:
                 self._pair[q, qp] = dd
             low = self.low_a[qp]
@@ -256,16 +273,13 @@ class SymDecompContext:
 
     def block_product(self, q: int) -> np.ndarray:
         """block_q(AB), the left-hand side of the reconstruction identity."""
-        return self.grid.irfft(self.part.phi[q] * self.ab_hat)
+        return self.part.block_irfft(self.ab_hat, q)
 
 
-def _lr_norm(part: DyadicPartition, fh: np.ndarray, spec: NormSpec,
-             multiplier: Callable[[int], np.ndarray]) -> float:
-    """l^r sum over the resolved q of 2^(s q) ||irfft(multiplier(q) fh)||_{L^p}."""
+def _lr_norm(part: DyadicPartition, spec: NormSpec, fields: Iterable[np.ndarray]) -> float:
+    """l^r sum over the resolved q of 2^(s q) ||field_q||_{L^p}, fields given in q order."""
     g = part.grid
-    seq = np.array(
-        [2.0 ** (spec.s * q) * g.norm_lp(g.irfft(multiplier(q) * fh), spec.p) for q in part.qs]
-    )
+    seq = np.array([2.0 ** (spec.s * q) * g.norm_lp(f, spec.p) for q, f in zip(part.qs, fields)])
     if spec.r == np.inf:
         return float(seq.max(initial=0.0))
     return float(np.sum(seq**spec.r) ** (1.0 / spec.r))
@@ -282,8 +296,8 @@ def commutator(
     g = part.grid
     sa = g.irfft(part.lowpass_multiplier(qp - 1) * g.rfft(g.zero_mean(a)))
     fh = g.rfft(f)
-    first = g.irfft(part.phi[q] * g.rfft(sa * g.irfft(part.phi[qp] * fh)))
-    second = sa * g.irfft(part.phi[q] * part.phi[qp] * fh)
+    first = part.block_irfft(g.rfft(sa * part.block_irfft(fh, qp)), q)
+    second = sa * part.block_irfft(fh, q, qp)
     return first - second
 
 
@@ -300,8 +314,8 @@ def neg_index_equiv(
     g = part.grid
     f = g.zero_mean(f)
     fh = g.rfft(f)
-    bn = _lr_norm(part, fh, spec, part.phi.get)
-    ln = _lr_norm(part, fh, spec, part.lowpass_multiplier)
+    bn = _lr_norm(part, spec, (part.block_irfft(fh, q) for q in part.qs))
+    ln = _lr_norm(part, spec, (g.irfft(part.lowpass_multiplier(q) * fh) for q in part.qs))
     ratio = ln / bn if bn > 0 else None
     return bn, ln, ratio
 

@@ -9,11 +9,12 @@ arrays of shape (..., n, n//2+1) produced by an unscaled forward transform
 scaled by 2*pi/len; the Nyquist index is mapped to +n/2.  Every lattice
 table has the half-spectrum shape (n, n//2+1).
 
-Grid.band is the band view of a grid: a Grid of the same n and len whose
-spectral arrays hold only the dealias band max(|k1|, |k2|) <= m = n//3, as
-one (2m+1, m+1) block (rows 0..m then n-m..n-1, columns 0..m), and whose
-tables are gathered from the full ones.  Its transforms and multipliers
-are those of the full layout, restricted to the band value for value.
+Grid.box(m) is a box view of a grid: a Grid of the same n and len whose
+spectral arrays hold only the modes max(|k1|, |k2|) <= m, as one (2m+1, m+1)
+block (rows 0..m then n-m..n-1, columns 0..m), and whose tables are gathered
+from the full ones.  Its transforms and multipliers are those of the full
+layout, restricted to the box value for value.  The band view box(n//3) is
+the dealias band; dyadic blocks use the boxes of their supports.
 """
 
 from __future__ import annotations
@@ -84,8 +85,9 @@ class Grid:
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     parseval: np.ndarray = field(init=False, repr=False, compare=False)
     workers: int = field(init=False, repr=False, compare=False)
-    #: True on the band view, whose spectral arrays are the in-band block
-    in_band: bool = field(init=False, default=False, repr=False, compare=False)
+    #: The half-width of a box view, whose spectral arrays are the box block; None on the full grid
+    m: int | None = field(init=False, default=None, repr=False, compare=False)
+    _boxes: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n
@@ -118,56 +120,62 @@ class Grid:
 
     @functools.cached_property
     def band(self) -> Grid:
-        """The band view of this grid (itself on a band view); built once, without __post_init__.
+        """The band view box(n//3) of this grid (itself on the band view)."""
+        return self.box(self.n // 3)
 
-        It compares equal to the full grid, so it must not stand in for it
-        where full-layout tables are expected (shared_partition refuses it).
-        """
-        if self.in_band:
+    def box(self, m: int) -> Grid:
+        """The box view of the modes max(|k1|, |k2|) <= m < n/2, built once per m from the full grid
+        (a box view is its own box).  It compares equal to the full grid, so it must not stand in
+        for it where full-layout tables are expected (shared_partition refuses it)."""
+        if m == self.m:
             return self
-        view = object.__new__(Grid)
-        for name in ("n", "length", "workers"):
-            object.__setattr__(view, name, getattr(self, name))
-        for name in ("k1", "k2", "ksq", "ksq_safe", "kmag", "dealias_mask"):
-            object.__setattr__(view, name, self.gather(getattr(self, name)))
-        object.__setattr__(view, "parseval", self.parseval[:, : self.n // 3 + 1])
-        object.__setattr__(view, "in_band", True)
-        return view
+        if self.m is not None or not 0 <= m < self.n // 2:
+            raise ValueError(f"box({m}) needs the full grid and 0 <= m < {self.n // 2}")
+        if m not in self._boxes:
+            view = self._boxes[m] = object.__new__(Grid)
+            view.__dict__.update(n=self.n, length=self.length, workers=self.workers, m=m,
+                                 parseval=self.parseval[:, : m + 1])
+            view.__dict__.update({name: view.gather(getattr(self, name)) for name in
+                                  ("k1", "k2", "ksq", "ksq_safe", "kmag", "dealias_mask")})
+        return self._boxes[m]
 
     def gather(self, fh: np.ndarray) -> np.ndarray:
-        """The in-band block of full-layout coefficients or tables fh, a new (..., 2m+1, m+1) array."""
-        n, m = self.n, self.n // 3
+        """This layout's block of full-layout coefficients or tables fh: on a box view a new
+        (..., 2m+1, m+1) array, on the full grid fh itself."""
+        n, m = self.n, self.m
+        if m is None:
+            return fh
         return np.concatenate((fh[..., : m + 1, : m + 1], fh[..., n - m :, : m + 1]), axis=-2)
 
     # -- transforms ---------------------------------------------------------
 
-    # The band view's pruned passes run the complex first-axis pass on the m+1 =
-    # n//3+1 columns k2 <= n/3 only.  n is a power of two, so the inverse's
-    # two 1/n scalings equal irfft2's one 1/n^2 exactly.  Each call makes
-    # exactly one call of a scipy.fft N-D entry point, so a library-level
-    # count of transformed planes matches the count taken at these methods.
+    # A box view's pruned passes run the complex first-axis pass on its m+1
+    # columns k2 <= m only.  n is a power of two, so the inverse's two 1/n
+    # scalings equal irfft2's one 1/n^2 exactly.  Each call makes exactly one
+    # call of a scipy.fft N-D entry point, so a library-level count of
+    # transformed planes matches the count taken at these methods.
 
     def rfft(self, f: np.ndarray) -> np.ndarray:
         """Forward half-spectrum transform (unscaled), batched over leading axes.
 
-        On the band view it is band-pruned and returns the in-band block,
-        equal value for value to gather(dealias_mask * rfft(f)) of the full grid.
+        On a box view it is box-pruned and returns the box block, equal
+        value for value to gather(rfft(f)) of the full grid.
         """
-        if not self.in_band:
+        if self.m is None:
             return scipy.fft.rfft2(f, axes=(-2, -1), workers=self.workers)
         out = scipy.fft.rfftn(f, axes=(-1,), workers=self.workers)
-        _in_place(scipy.fft.fft, out[..., : self.n // 3 + 1], self.workers)
+        _in_place(scipy.fft.fft, out[..., : self.m + 1], self.workers)
         return self.gather(out)
 
     def irfft(self, fh: np.ndarray) -> np.ndarray:
         """Inverse half-spectrum transform (carries 1/n^2) to a real field.
 
-        On the full grid it is one irfft2.  On the band view fh is the
-        in-band block, scattered into a zeroed scratch buffer for the
-        band-pruned pass, so fh is not touched.
+        On the full grid it is one irfft2.  On a box view fh is the box
+        block, scattered into a zeroed scratch buffer for the box-pruned
+        pass, so fh is not touched.
         """
-        n, m = self.n, self.n // 3
-        if not self.in_band:
+        n, m = self.n, self.m
+        if m is None:
             return scipy.fft.irfft2(fh, s=(n, n), axes=(-2, -1), workers=self.workers)
         buf = np.empty(fh.shape[:-2] + (n, n // 2 + 1), dtype=complex)
         buf[..., m + 1 :] = 0.0

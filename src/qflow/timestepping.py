@@ -207,7 +207,7 @@ def _band_limited(grid: Grid, s: State, what: str = "initial state"
             f"{what} has {outside / total:.3g} of its energy outside the dealias band "
             f"max(|k1|, |k2|) <= n/3 = {grid.n / 3:.4g} (at most {BAND_GUARD:g} allowed); "
             f"band-limit the data to |k| <= n/3")
-    return grid.gather(uh), grid.gather(qh)
+    return grid.band.gather(uh), grid.band.gather(qh)
 
 
 # -- diagnostics -----------------------------------------------------------------
@@ -225,7 +225,7 @@ def probe_weights(grid: Grid, part: DyadicPartition, hs: tuple[float, ...] = ()
     ksq = grid.band.ksq
     out = {"ksq": ksq, "ksq2": ksq**2, "h2": (1.0 + ksq) ** 2}
     for sv in hs:
-        w, tag = grid.gather(part.sobolev_weight(sv)), _hs_tag(sv)
+        w, tag = grid.band.gather(part.sobolev_weight(sv)), _hs_tag(sv)
         out[f"hs{tag}"], out[f"hs{tag}_ksq"], out[f"hs{tag}_ksq2"] = w, w * ksq, w * ksq**2
     return out
 

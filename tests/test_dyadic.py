@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,6 +52,38 @@ def test_partition_of_unity_any_period(n, length):
     total = sum(part.phi[q] for q in part.qs)
     assert np.abs(total[g.kmag > 0] - 1.0).max() <= 1e-12
     assert total[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("length", [2 * np.pi, 3.7, 1.0])
+@pytest.mark.parametrize("n", [16, 64, 128, 256])
+def test_block_irfft_on_support_box_matches_irfft2(monkeypatch, n, length):
+    # every phi_q-multiplied spectrum, and every phi_q phi_q+1 one, is
+    # inverse-transformed on the box of its support where 4m < n, else on the
+    # full grid, and equals irfft2 of the full-layout product bit for bit; the
+    # support is the largest max(|k1|, |k2|) where the table is nonzero.  Only
+    # the sign of an exact zero may differ: phi_0 phi_1 has no lattice point at
+    # len 2 pi, and irfft2 also sums the signed zeros 0 * fh outside the box
+    g = Grid(n, length)
+    part = DyadicPartition(g)
+    assert g.box(n // 3) is g.band
+    idx = np.abs(np.round(g.k1[:, 0] * length / (2 * np.pi)))
+    cheb = np.maximum(idx[:, None], np.arange(n // 2 + 1)[None, :])
+    for q in part.qs:
+        assert part.support[q] == cheb[part.phi[q] != 0].max()
+        assert not part.phi[q][cheb > part.support[q]].any()
+    irfft, layouts = Grid.irfft, []
+    monkeypatch.setattr(Grid, "irfft", lambda self, fh: layouts.append(self.m) or irfft(self, fh))
+    rng = np.random.default_rng(n)
+    for lead in ((), (9,)):
+        fh = g.rfft(rng.normal(size=lead + (n, n)))
+        before = fh.copy()
+        for qs in [(q,) for q in part.qs] + [(q, q + 1) for q in part.qs[:-1]]:
+            mult = part.phi[qs[0]] if len(qs) == 1 else part.phi[qs[0]] * part.phi[qs[1]]
+            want = scipy.fft.irfft2(mult * fh, s=(n, n), axes=(-2, -1))
+            assert (part.block_irfft(fh, *qs) + 0.0).tobytes() == (want + 0.0).tobytes()
+            m = part.support[qs[0]]
+            assert layouts.pop() == (m if 4 * m < n else None)
+        assert fh.tobytes() == before.tobytes()
 
 
 def test_tables_share_half_spectrum_layout(part, grid):
@@ -355,15 +388,21 @@ def test_sym_decomp_plane_budget(monkeypatch, n, r2c, c2r):
     # r2c: A and B (5 planes each), AB (9), and one 9-plane sum per distinct
     # J1 window and J4 start; c2r: the blocks of A and B (5 planes each),
     # then per q J1, J4 and block_q(AB) (9 each), plus block_q block_q' B
-    # (5) once per unordered pair |q - q'| <= 1
+    # (5) once per unordered pair |q - q'| <= 1.  The c2r planes of the q
+    # whose support box m has 4m < n (q <= 1 at n = 16, q <= 2 at n = 32;
+    # for a pair, the smaller q) are taken on box views, the rest on the
+    # full grid: at n = 16, 20 + 54 + 20 of the 40 + 108 + 35 block, term
+    # and pair planes; at n = 32, 30 + 81 + 30 of 50 + 135 + 45
     g = Grid(n)
     part = DyadicPartition(g)
     a, b = s0_pair(g, 3)
-    counts = {"r2c": 0, "c2r": 0}
+    counts = {"r2c": 0, "c2r": 0, "c2r_box": 0}
 
     def counted(fn, kind):
         def wrapper(self, f):
             counts[kind] += int(np.prod(np.shape(f)[:-2]))
+            if kind == "c2r" and self.m is not None:
+                counts["c2r_box"] += int(np.prod(np.shape(f)[:-2]))
             return fn(self, f)
         return wrapper
 
@@ -374,6 +413,8 @@ def test_sym_decomp_plane_budget(monkeypatch, n, r2c, c2r):
         ctx.terms(q)
         ctx.block_product(q)
     assert (counts["r2c"], counts["c2r"]) == (r2c, c2r)
+    c2r_box = {16: 94, 32: 141}[n]
+    assert (counts["c2r"] - counts["c2r_box"], counts["c2r_box"]) == (c2r - c2r_box, c2r_box)
 
 
 def test_sym_decomp_skips_zero_low_pass_products(monkeypatch):

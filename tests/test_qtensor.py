@@ -281,11 +281,11 @@ def test_nonlinear_on_out_of_band_coefficients_matches_full_transforms(monkeypat
     qh = g.rfft(random_qtensor(g, rng, kmax=6))
     assert uh[..., g.n // 3 + 1:].any() and qh[..., g.n // 3 + 1:].any()
     p = params()
-    got = nonlinear(g, g.gather(uh), g.gather(qh), p)
+    got = nonlinear(g, g.band.gather(uh), g.band.gather(qh), p)
     monkeypatch.setattr(Grid, "irfft", lambda self, fh: scipy.fft.irfft2(
-        scatter(self, fh) if self.in_band else fh, s=(self.n, self.n), axes=(-2, -1),
+        scatter(self, fh) if self.m is not None else fh, s=(self.n, self.n), axes=(-2, -1),
         workers=self.workers))
-    for a, b in zip(got, nonlinear(g, g.gather(uh), g.gather(qh), p)):
+    for a, b in zip(got, nonlinear(g, g.band.gather(uh), g.band.gather(qh), p)):
         assert a.tobytes() == b.tobytes()
 
 

@@ -14,9 +14,9 @@ def grid():
     return Grid(64)
 
 
-def scatter(g: Grid, bh: np.ndarray) -> np.ndarray:
-    """The full-layout array of g holding the band block bh, zero elsewhere."""
-    n, m = g.n, g.n // 3
+def scatter(view: Grid, bh: np.ndarray) -> np.ndarray:
+    """The full-layout array holding the block bh of a box view, zero elsewhere."""
+    n, m = view.n, view.m
     full = np.zeros(bh.shape[:-2] + (n, n // 2 + 1), dtype=bh.dtype)
     full[..., : m + 1, : m + 1] = bh[..., : m + 1, :]
     full[..., n - m:, : m + 1] = bh[..., m + 1:, :]
@@ -219,9 +219,9 @@ def test_band_transforms_match_full_transforms(monkeypatch, workers):
                 full = g.rfft(f)
                 bh = band.rfft(f)
                 assert bh.shape == lead + (2 * (n // 3) + 1, n // 3 + 1)
-                assert np.array_equal(bh, g.gather(g.dealias_mask * full))
+                assert np.array_equal(bh, band.gather(g.dealias_mask * full))
                 before = bh.copy()
-                expect = scipy.fft.irfft2(scatter(g, bh), s=(n, n), axes=(-2, -1))
+                expect = scipy.fft.irfft2(scatter(band, bh), s=(n, n), axes=(-2, -1))
                 assert band.irfft(bh).tobytes() == expect.tobytes()
                 assert bh.tobytes() == before.tobytes()
                 for fh in (g.dealias_mask * full, cols * full, full):
@@ -254,17 +254,38 @@ def test_band_view_layout():
     # gathered from the full grid; built once and without __post_init__
     g = Grid(32, length=3.7)
     band = g.band
-    assert band is g.band and band.band is band and band.in_band and not g.in_band
+    assert band is g.band and band.band is band and band.m == 10 and g.m is None
     assert band == g and band.n == g.n and band.length == g.length
     for name in ("k1", "k2", "ksq", "ksq_safe", "kmag", "dealias_mask"):
         table = getattr(band, name)
         assert table.shape == (21, 11)
-        assert np.array_equal(scatter(g, table), np.where(g.dealias_mask, getattr(g, name), 0))
+        assert np.array_equal(scatter(band, table), np.where(g.dealias_mask, getattr(g, name), 0))
     assert band.dealias_mask.all() and g.dealias_mask.sum() == band.dealias_mask.size
     assert np.array_equal(band.parseval, g.parseval[:, :11])
     assert band.rfft(np.zeros((3, 32, 32))).shape == (3, 21, 11)
-    with pytest.raises(ValueError, match="band view"):
+    with pytest.raises(ValueError, match=r"box view box\(10\)"):
         shared_partition(band)
+
+
+def test_box_views():
+    # box(m) is built once per m from the full grid; a box view is only its
+    # own box; a non-band box view is refused by shared_partition as well
+    g = Grid(32, length=3.7)
+    box = g.box(4)
+    assert box is g.box(4) and box.box(4) is box and box.m == 4 and box == g
+    idx = np.round(np.maximum(np.abs(g.k1), g.k2) * 3.7 / (2 * np.pi))
+    for name in ("k1", "ksq", "kmag", "dealias_mask"):
+        table = getattr(box, name)
+        assert table.shape == (9, 5)
+        assert np.array_equal(scatter(box, table), np.where(idx <= 4, getattr(g, name), 0))
+    assert np.array_equal(box.parseval, g.parseval[:, :5])
+    f = np.random.default_rng(5).normal(size=(2, 32, 32))
+    assert np.array_equal(box.rfft(f), box.gather(g.rfft(f)))
+    for bad in (lambda: box.box(3), lambda: g.box(16), lambda: g.box(-1)):
+        with pytest.raises(ValueError, match="needs the full grid"):
+            bad()
+    with pytest.raises(ValueError, match=r"box view box\(4\)"):
+        shared_partition(box)
 
 
 @pytest.mark.parametrize("n, length", [(16, 2 * np.pi), (32, 3.7)])
@@ -277,26 +298,26 @@ def test_band_multipliers_match_gathered_full_layout(n, length):
     band = g.band
     rng = np.random.default_rng(n)
     full = g.dealias_mask * g.rfft(rng.normal(size=(2, n, n)))
-    bh = g.gather(full)
-    assert np.array_equal(band.leray_hat(bh), g.gather(g.leray_hat(full)))
-    assert np.array_equal(band.laplacian_hat(bh), g.gather(g.laplacian_hat(full)))
+    bh = band.gather(full)
+    assert np.array_equal(band.leray_hat(bh), band.gather(g.leray_hat(full)))
+    assert np.array_equal(band.laplacian_hat(bh), band.gather(g.laplacian_hat(full)))
     for axis in (1, 2):
-        assert np.array_equal(band.deriv_hat(bh, axis), g.gather(g.deriv_hat(full, axis)))
+        assert np.array_equal(band.deriv_hat(bh, axis), band.gather(g.deriv_hat(full, axis)))
     for m in (1, 2, 4):
-        assert np.array_equal(band.freq_cutoff_hat(bh, m), g.gather(g.freq_cutoff_hat(full, m)))
+        assert np.array_equal(band.freq_cutoff_hat(bh, m), band.gather(g.freq_cutoff_hat(full, m)))
     assert band.gradient(bh).tobytes() == g.gradient(full).tobytes()
     div = np.abs(g.k1 * full[0] + g.k2 * full[1]).max() / (np.abs(full).max() * g.kmag.max())
     assert band.divergence_residual(bh) == g.divergence_residual(full) == div
     power = band.power_hat(bh)
-    assert np.array_equal(power, g.gather(g.power_hat(full)))
+    assert np.array_equal(power, band.gather(g.power_hat(full)))
     weight = g.ksq**2
-    for bw, w in ((g.gather(weight), weight), (None, None)):
+    for bw, w in ((band.gather(weight), weight), (None, None)):
         got = band.power_sum(power, bw)
         assert got == float(np.sum(power if bw is None else power * bw))
         ref = g.power_sum(g.power_hat(full), w)
         assert abs(got - ref) <= 1e-14 * ref
     inner = g.inner_hat(full, full, weight)
-    assert abs(band.inner_hat(bh, bh, g.gather(weight)) - inner) <= 1e-14 * inner
+    assert abs(band.inner_hat(bh, bh, band.gather(weight)) - inner) <= 1e-14 * inner
     f = rng.normal(size=(n, n))
     assert g.dealias(f).tobytes() == g.irfft(g.dealias_mask * g.rfft(f)).tobytes()
 

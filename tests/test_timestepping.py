@@ -371,7 +371,7 @@ def test_band_inverse_on_run_arrays_matches_irfft2_of_scattered(monkeypatch, n, 
 
     def checked(self, fh):
         out = irfft(self, fh)
-        if self.in_band:
+        if self.m is not None:
             want = scipy.fft.irfft2(scatter(self, fh), s=(n, n), axes=(-2, -1))
             assert out.tobytes() == want.tobytes()
             seen.append(fh.shape)
@@ -463,7 +463,7 @@ def test_twin_auto_dt_follows_member_one():
         assert np.array_equal(twin.times, solo.times)
 
         stepper = Stepper(g, p, tc)
-        uh, qh = g.gather(g.rfft(init.u)), g.gather(g.rfft(init.q))
+        uh, qh = g.band.gather(g.rfft(init.u)), g.band.gather(g.rfft(init.q))
         s, times = init, [0.0]
         while times[-1] < tc.t_end - 1e-12:
             dt = min(stepper.auto_dt(s), tc.t_end - times[-1])
@@ -481,7 +481,7 @@ def test_non_finite_step_reports_input_state(monkeypatch):
     init = smooth_state(g, amp_u=0.5, amp_q=2.0, kmax=4)
     stepper = Stepper(g, p, TimeConfig(dt=2.0))
     # the in-band coefficients that run() steps from
-    uh, qh = g.gather(g.rfft(init.u)), g.gather(g.rfft(init.q))
+    uh, qh = g.band.gather(g.rfft(init.u)), g.band.gather(g.rfft(init.q))
     monkeypatch.setattr(timestepping, "ENERGY_GUARD", np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(100):
