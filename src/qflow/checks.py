@@ -11,7 +11,7 @@ reference resolution and reruns are guarded against drifting above them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .qtensor import (
     vorticity_mat,
 )
 from .spectral import Grid, random_scalar, random_velocity
-from .timestepping import TimeConfig, Trajectory, run
+from .timestepping import TimeConfig, Trajectory, _hs_tag, run
 
 DENOM_FLOOR = 1e-30
 
@@ -460,8 +460,6 @@ def osgood_check(traj: Trajectory, s: float = 0.5) -> OsgoodDiagnostics:
     f2 = ||(u, grad Q)||_{H1}^2; then verify the integrated
     double-exponential envelope with that C.
     """
-    from .timestepping import _hs_tag
-
     tag = _hs_tag(s)
     S = traj.series
     try:
@@ -592,8 +590,6 @@ def friedrichs_consistency_check(grid: Grid, init: State, p: ModelParams,
 
     The gap must decrease monotonically as the cutoff index grows.
     """
-    from dataclasses import replace
-
     ref = run(grid, init, p, tc).states[-1]
     gaps = []
     for m in cutoffs:

@@ -17,7 +17,7 @@ from . import checks
 from .config import ConfigError, RunConfig, build_initial_state, parse_config
 from .dyadic import NormSpec, shared_partition
 from .qtensor import ModelParams, State
-from .snapshots import SeriesWriter, emit_series, read_series, read_snapshot, write_csv
+from .snapshots import SeriesWriter, read_series, read_snapshot, write_csv
 from .spectral import Grid
 from .timestepping import BandError, BlowUpError, Perturbation, Trajectory, run, twin_run
 
@@ -69,23 +69,26 @@ def _prepare_run(args: argparse.Namespace) -> tuple[RunConfig, Grid, State, Path
     return cfg, grid, init, out
 
 
-def _abort(err: BlowUpError, path: Path) -> int:
-    """Report an aborted run whose series so far is in path."""
-    print(f"ABORT {err}\nflushed partial series to {path}", file=sys.stderr)
-    return 1
+def _stream(runner, sink: SeriesWriter, *args, **kwargs) -> bool:
+    """Run runner(*args, **kwargs, sink=sink), then close sink; False once it aborted."""
+    with closing(sink):
+        try:
+            runner(*args, **kwargs, sink=sink)
+        except BandError as err:
+            raise SystemExit(f"error: {err}")
+        except BlowUpError as err:
+            print(f"ABORT {err}\nflushed partial series to {sink.path}", file=sys.stderr)
+            return False
+    return True
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg, grid, init, out = _prepare_run(args)
     (out / "config.cfg").write_text(Path(args.config).read_text())
-    with closing(SeriesWriter(out / "series.csv", grid, cfg.params)) as sink:
-        try:
-            run(grid, init, cfg.params, cfg.time,
-                hs_probes=cfg.hs_probes, state_stride=cfg.snapshot_stride, sink=sink)
-        except BandError as err:
-            raise SystemExit(f"error: {err}")
-        except BlowUpError as err:
-            return _abort(err, sink.path)
+    sink = SeriesWriter(out / "series.csv", grid, cfg.params)
+    if not _stream(run, sink, grid, init, cfg.params, cfg.time,
+                   hs_probes=cfg.hs_probes, state_stride=cfg.snapshot_stride):
+        return 1
     (_, first), (t, last) = sink.first, sink.last
     print(f"simulate: {sink.rows - 1} steps to t={t:g}, "
           f"energy {first['energy']:.6g} -> {last['energy']:.6g}")
@@ -100,32 +103,21 @@ def cmd_twin(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: --seed must be >= 0, got {args.seed}")
     cfg, grid, init, out = _prepare_run(args)
     path = out / f"twin_eps{args.eps:g}_seed{args.seed}.csv"
-    rows = Trajectory(grid, cfg.params)
-    try:
-        diff = twin_run(grid, init, Perturbation(args.eps, seed=args.seed), cfg.params, cfg.time,
-                        rows)
-    except BandError as err:
-        raise SystemExit(f"error: {err}")
-    except BlowUpError as err:
-        emit_series(path, rows.times, rows.series)
-        return _abort(err, path)
-    emit_series(path, diff.times, diff.series)
+    if not _stream(twin_run, SeriesWriter(path), grid, init,
+                   Perturbation(args.eps, seed=args.seed), cfg.params, cfg.time):
+        return 1
+    diff = Trajectory(grid, cfg.params, *read_series(path))  # an exact round trip
     reports = [checks.uniqueness_check(diff), checks.difference_regularity_check(diff)]
     for rep in reports:
         print(rep)
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _trajectory_from_rundir(rundir: Path) -> Trajectory:
-    cfg = parse_config((rundir / "config.cfg").read_text())
-    times, series = read_series(rundir / "series.csv")
-    return Trajectory(Grid(cfg.n, cfg.length), cfg.params, times, series)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     rundir = Path(args.rundir)
     try:
-        traj = _trajectory_from_rundir(rundir)
+        cfg = parse_config((rundir / "config.cfg").read_text())
+        traj = Trajectory(Grid(cfg.n, cfg.length), cfg.params, *read_series(rundir / "series.csv"))
     except (OSError, ConfigError, ValueError) as err:
         raise SystemExit(f"error: {err}")
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qtensor import ModelParams, State, random_qtensor
+from .snapshots import GridMismatchError, read_snapshot
 from .spectral import MAX_N, Grid, random_velocity
 from .timestepping import MAX_STEPS, TimeConfig
 
@@ -253,8 +254,6 @@ def uniaxial_wave(grid: Grid, amplitude: float = 1.0) -> np.ndarray:
 def build_initial_state(cfg: RunConfig, grid: Grid) -> State:
     """Materialize the configured initial condition on the grid."""
     if cfg.snapshot is not None:
-        from .snapshots import GridMismatchError, read_snapshot
-
         state = None
         try:  # read on the caller's grid: no second Grid is built
             state = read_snapshot(cfg.snapshot, grid)[2]

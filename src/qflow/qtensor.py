@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid
+from .spectral import Grid, random_scalar
 
 _S2 = np.sqrt(2.0)
 _S6 = np.sqrt(6.0)
@@ -166,8 +166,6 @@ def random_qtensor(
     decay: float = 1.5,
 ) -> np.ndarray:
     """Seeded band-limited S0 field: five independent random coefficient planes."""
-    from .spectral import random_scalar
-
     q = np.stack([random_scalar(grid, rng, kmin, kmax, decay) for _ in range(5)])
     peak = np.sqrt(trace_q2(q)).max()
     return q / peak if peak > 0 else q

@@ -1,4 +1,4 @@
-"""Binary state snapshots, full-precision CSV norm series (also a run's sink) and the CSV writer.
+"""Binary state snapshots, the %.17g CSV series writer (a run's sink) and reader, and write_csv.
 
 Snapshot layout (little-endian, no padding):
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import struct
 from collections.abc import Iterable
-from contextlib import closing
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -100,9 +100,10 @@ def read_snapshot(path: str | Path, grid: Grid | None = None) -> tuple[Grid, Mod
 
 class SeriesWriter:
     """Writes a series row by row, each a flushed %.17g CSV line; the file and
-    its header `t,<names...>` are made at the first row.  As a run's sink (see
-    timestepping.Trajectory) it also writes the state after k steps next to
-    path, as snap_k<k, 9 digits>.qtns or, the last, final.qtns."""
+    its header `t,<names...>` are made at the first row, and a row with other
+    names raises ValueError.  As a run's sink (see timestepping.Trajectory)
+    it also writes the state after k steps next to path, as
+    snap_k<k, 9 digits>.qtns or, the last, final.qtns."""
 
     def __init__(self, path: Path, grid: Grid | None = None, params: ModelParams | None = None):
         self.path, self.grid, self.params = Path(path), grid, params
@@ -113,6 +114,10 @@ class SeriesWriter:
             self._fh = open(self.path, "w", newline="", buffering=1)  # line-buffered
             self._csv = csv.writer(self._fh, lineterminator="\n")
             self._csv.writerow(["t", *values])
+            self.names = tuple(values)
+        elif tuple(values) != self.names:
+            got, want = next((a, b) for a, b in zip_longest(values, self.names) if a != b)
+            raise ValueError(f"{self.path}: a row has column {got!r} where the header has {want!r}")
         self._csv.writerow([f"{t:.17g}", *(f"{v:.17g}" for v in values.values())])
         self.rows, self.first, self.last = self.rows + 1, self.first or (t, values), (t, values)
 
@@ -125,18 +130,6 @@ class SeriesWriter:
             self._fh.close()
 
 
-def emit_series(path: str | Path, times: np.ndarray, series: dict[str, np.ndarray]) -> None:
-    """CSV with header `t,<names...>` at full float64 precision."""
-    if len(times) == 0:
-        raise ValueError("refusing to write an empty series")
-    for name, column in series.items():
-        if len(column) != len(times):
-            raise ValueError(f"series {name!r} length mismatch")
-    with closing(SeriesWriter(path)) as rows:
-        for i, t in enumerate(times):
-            rows.row(t, {name: column[i] for name, column in series.items()})
-
-
 def write_csv(path: str | Path, header: list[str], rows: Iterable[list[object]]) -> None:
     """Write a header and rows; fields holding commas or quotes are quoted."""
     with open(path, "w", newline="") as fh:
@@ -146,6 +139,7 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[list[object]])
 
 
 def read_series(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Times and named columns of a SeriesWriter CSV; %.17g reads back exactly."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "t":
@@ -153,5 +147,4 @@ def read_series(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.size == 0:
         raise ValueError(f"{path}: empty series")
-    times = data[:, 0]
-    return times, {name: data[:, j + 1] for j, name in enumerate(header[1:])}
+    return data[:, 0], {name: data[:, j + 1] for j, name in enumerate(header[1:])}

@@ -14,8 +14,8 @@ carried between steps as its in-band coefficients, the (2m+1, m+1) block
 of the band view Grid.band (m = n//3): a step takes and returns (uh, qh),
 and takes k1 from its caller when the caller has it.
 run() and twin_run() step through one loop, _drive, which hands each probe
-row and stored state to a sink as soon as it is made (a Trajectory, or
-snapshots.SeriesWriter), so an aborted run's output is already in its sink.
+row and stored state to a sink (a Trajectory, or snapshots.SeriesWriter) as
+it is made, so an aborted run's output is already in its sink.
 
 The stepping path relies on the state being in the dealias band (every
 mode with max(|k1|, |k2|) <= n/3), where the two-thirds-rule products, and
@@ -27,6 +27,7 @@ the band block only.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -394,22 +395,21 @@ class Perturbation:
 
 
 def twin_run(grid: Grid, init: State, perturb: Perturbation, p: ModelParams, tc: TimeConfig,
-             sink: Trajectory | None = None) -> Trajectory:
+             sink=None) -> Trajectory | None:
     """Evolve the state and its perturbed twin under identical stepping.
 
     Records the contraction functional Phi(t) = 1/2 ||du||^2_{H^-1/2}
     + L ||grad dQ||^2_{H^-1/2}, its dissipation channels, the background
     norms entering the Gronwall majorant, and the empirical rate
-    chi = Phi'/Phi wherever Phi > 0.  The record's states are the two
-    members' final states.  Either member's energy passing ENERGY_GUARD
-    times its initial value aborts the run, as in run().  chi needs the
-    whole Phi series, so the sink is always a Trajectory (an empty one by default).
+    chi = Phi'/Phi (see _ChiRows).  The sink, the return value and the
+    energy guard, on either member, are those of run(), but each row leaves
+    one row late; the record's states are the members' final states, and a
+    caller's sink gets none.
 
     The members are carried as band coefficients and every channel is read
-    from them, so a probe row transforms nothing.  A dt = "auto"
-    step is sized from member 1's StatePlanes record, made by the same
-    nonlinear call that gives its k1 (the first one from init's own
-    planes); both members are transformed to physical space at the end.
+    from them, so a probe row transforms nothing.  A dt = "auto" step is
+    sized from member 1's StatePlanes record, made by the same nonlinear
+    call that gives its k1 (the first one from init's own planes).
     """
     g = grid.band
     weights = probe_weights(grid, shared_partition(grid), (-0.5,))
@@ -422,14 +422,44 @@ def twin_run(grid: Grid, init: State, perturb: Perturbation, p: ModelParams, tc:
         if tc.dt == "auto" and k > 0 and not last:
             *k1, planes = nonlinear(g, *members[0], p, planes=True)
         row = _twin_probes(g, weights, *members, p)
-        finals = [State(g.irfft(uh), g.irfft(qh), t) for uh, qh in members] if last else []
+        finals = [State(g.irfft(uh), g.irfft(qh), t) for uh, qh in members] \
+            if last and sink is None else []
         energy = [row[f"u{m}_l22"] + row[f"q{m}_l22"] + p.L * row[f"gq{m}_l22"] for m in (1, 2)]
         return row, energy, planes, k1, finals
 
-    _drive(Stepper(g, p, tc), members, init.t, traj, observe)
-    traj = traj.arrays()
-    traj.series["chi"] = _log_derivative(traj.times, traj.series["phi"])
-    return traj
+    with closing(_ChiRows(traj)) as rows:
+        _drive(Stepper(g, p, tc), members, init.t, rows, observe)
+    return traj.arrays() if sink is None else None
+
+
+class _ChiRows:
+    """twin_run's sink: hands each row on to sink one row late, with chi = Phi'/Phi.
+
+    Row k's Phi' is np.gradient over rows k-1..k+1: one-sided at the ends, and
+    numpy's uniform formula where the two spacings are equal.  chi is 0 where
+    Phi <= 0 and in a series of fewer than 3 rows, so row 0 waits for row 2.
+    close() hands on the rows held, at most two."""
+
+    def __init__(self, sink):
+        self.sink, self.state, self.held, self.sent = sink, sink.state, [], False
+
+    def row(self, t: float, values: dict[str, float]) -> None:
+        self.held.append((t, values))
+        if len(self.held) == 3:
+            for i in (1,) if self.sent else (0, 1):
+                self._send(i)
+            self.sent, self.held = True, self.held[1:]
+
+    def close(self) -> None:
+        for i in [1] if self.sent else range(len(self.held)):
+            self._send(i)
+
+    def _send(self, i: int) -> None:
+        t, values = self.held[i]
+        phi, chi = values["phi"], 0.0
+        if phi > 0 and (self.sent or len(self.held) == 3):
+            chi = np.gradient([v["phi"] for _, v in self.held], [s for s, _ in self.held])[i] / phi
+        self.sink.row(t, {**values, "chi": chi})
 
 
 def _twin_probes(grid: Grid, weights: dict[str, np.ndarray], a: tuple[np.ndarray, np.ndarray],
@@ -465,14 +495,3 @@ def _twin_probes(grid: Grid, weights: dict[str, np.ndarray], a: tuple[np.ndarray
         out[f"gq{tag}_l22"] = total(pq, ksq)
         out[f"lq{tag}_l22"] = total(pq, ksq2)
     return out
-
-
-def _log_derivative(t: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Centered-difference d(phi)/dt / phi; zero where phi vanishes."""
-    chi = np.zeros_like(phi)
-    if len(t) < 3:
-        return chi
-    dphi = np.gradient(phi, t)
-    pos = phi > 0
-    chi[pos] = dphi[pos] / phi[pos]
-    return chi

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import types
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ from qflow.config import (MAX_STEPS, ConfigError, build_initial_state, parse_con
                           uniaxial_wave)
 from qflow.dyadic import DyadicPartition
 from qflow.qtensor import ModelParams, State
-from qflow.snapshots import SnapshotError, emit_series, read_series, read_snapshot, write_snapshot
+from qflow.snapshots import (SeriesWriter, SnapshotError, read_series, read_snapshot,
+                             write_snapshot)
 from qflow.spectral import Grid, random_velocity
 from qflow.qtensor import random_qtensor
 from qflow.timestepping import BandError, _band_limited
@@ -288,11 +290,18 @@ def test_snapshot_refuses_non_finite_body(tmp_path, plane):
 # -- CSV series ------------------------------------------------------------------------
 
 
+def write_series(path, times, series):
+    """Hand a series to a SeriesWriter row by row."""
+    with closing(SeriesWriter(path)) as rows:
+        for i, t in enumerate(times):
+            rows.row(t, {name: column[i] for name, column in series.items()})
+
+
 def test_series_roundtrip_exact(tmp_path):
     t = np.array([0.0, 1.0 / 3.0])
     series = {"a": np.array([1.0, math.pi]), "b": np.array([-1e-17, 2.0**0.5])}
     path = tmp_path / "s.csv"
-    emit_series(path, t, series)
+    write_series(path, t, series)
     t2, s2 = read_series(path)
     assert np.array_equal(t, t2)
     for k in series:
@@ -301,13 +310,34 @@ def test_series_roundtrip_exact(tmp_path):
 
 def test_series_single_sample_two_lines(tmp_path):
     path = tmp_path / "one.csv"
-    emit_series(path, np.array([0.5]), {"x": np.array([2.0])})
+    write_series(path, np.array([0.5]), {"x": np.array([2.0])})
     assert path.read_text().count("\n") == 2
 
 
+@pytest.mark.filterwarnings("ignore:loadtxt")
 def test_series_empty_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        emit_series(tmp_path / "e.csv", np.array([]), {})
+    # a writer closed before its first row leaves no file, and a header
+    # without rows does not read as a series
+    path = tmp_path / "e.csv"
+    write_series(path, np.array([]), {})
+    assert not path.exists()
+    path.write_text("t,x\n")
+    with pytest.raises(ValueError, match="empty series"):
+        read_series(path)
+
+
+def test_series_row_columns_must_match_header(tmp_path):
+    # a row under another header would be written misaligned: it is refused,
+    # naming the file and the column, and the rows before it stay readable
+    path = tmp_path / "m.csv"
+    for bad in ({"b": 1.0, "a": 2.0}, {"a": 1.0}, {"a": 1.0, "b": 2.0, "c": 3.0},
+                {"a": 1.0, "x": 2.0}):
+        with closing(SeriesWriter(path)) as rows:
+            rows.row(0.0, {"a": 1.0, "b": 2.0})
+            with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*column"):
+                rows.row(1.0, bad)
+        times, cols = read_series(path)
+        assert list(times) == [0.0] and list(cols) == ["a", "b"]
 
 
 # -- CLI ---------------------------------------------------------------------------------
@@ -433,6 +463,33 @@ def test_cli_killed_run_keeps_its_output(tmp_path):
         _, _, state = read_snapshot(out / f"snap_k{k:09d}.qtns")
         assert state.t == times[k]
     assert not (out / "final.qtns").exists()
+
+
+def test_cli_killed_twin_keeps_its_rows(tmp_path):
+    # twin rows leave the run one row after they are made, chi included: a
+    # twin killed part-way leaves a readable series prefix and no snapshot
+    cfg = tmp_path / "r.cfg"
+    out = tmp_path / "out"
+    text = full_config(out, n=16).replace("kmax = 6", "kmax = 4")
+    cfg.write_text(text.replace("dt = 0.005", "dt = 1e-4").replace("t_end = 0.05", "t_end = 100.0"))
+    series = out / "twin_eps0.001_seed0.csv"
+    proc = subprocess.Popen([sys.executable, "-m", "qflow.cli", "twin", str(cfg), "--eps", "1e-3"],
+                            env=_src_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (series.exists() and series.read_text().count("\n") >= 4):
+            assert proc.poll() is None, "the run ended before it was killed"
+            assert time.monotonic() < deadline, "no 3 rows within 60 s"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == -signal.SIGKILL
+    times, cols = read_series(series)
+    assert len(times) >= 3 and list(cols)[-1] == "chi"
+    assert np.all(np.isfinite(cols["chi"])) and np.all(cols["chi"][cols["phi"] > 0] != 0.0)
+    assert not list(out.glob("*.qtns"))
 
 
 def test_cli_simulate_memory_flat_in_steps(tmp_path):

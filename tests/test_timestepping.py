@@ -283,6 +283,83 @@ def test_twin_chi_definition(grid):
     assert np.all(phi <= phi[0] * np.exp(integ) * (1.0 + 1e-6))
 
 
+def log_derivative(t, phi):
+    """chi of the whole Phi series: centered-difference d(phi)/dt / phi, zero
+    where phi vanishes and in a series of fewer than 3 rows."""
+    chi = np.zeros_like(phi)
+    if len(t) < 3:
+        return chi
+    dphi = np.gradient(phi, t)
+    pos = phi > 0
+    chi[pos] = dphi[pos] / phi[pos]
+    return chi
+
+
+@pytest.mark.parametrize("n, dt, steps", [(64, 2.0**-8, 8), (32, 5e-3, 20), (64, 5e-3, 40),
+                                          (32, 0.1, 10), (64, 2.0**-8, 0), (64, 2.0**-8, 1),
+                                          (64, 2.0**-8, 2)])
+def test_twin_streamed_chi_matches_whole_series(n, dt, steps):
+    # twin_run hands each row on one row late with chi from rows k-1..k+1;
+    # np.gradient of the whole series takes its uniform formula only when
+    # every spacing is equal, so the two agree bitwise on the 2^-8 lattice
+    # and at roundoff elsewhere; a series of 1 or 2 rows has chi = 0
+    g = Grid(n)
+    diff = twin_run(g, smooth_state(g), Perturbation(1e-4, seed=9), params(),
+                    TimeConfig(dt=dt, t_end=steps * dt))
+    assert len(diff.times) == steps + 1 and list(diff.series)[-1] == "chi"
+    ref = log_derivative(diff.times, diff.series["phi"])
+    if dt == 2.0**-8:
+        assert np.array_equal(diff.series["chi"], ref)
+    else:
+        np.testing.assert_allclose(diff.series["chi"], ref, rtol=1e-12, atol=0.0)
+    assert np.all(ref != 0.0) if steps >= 2 else not np.any(diff.series["chi"])
+
+
+def test_twin_streamed_chi_on_energy_guard_abort(grid, monkeypatch):
+    # an abort hands every row made to the caller's sink, chi one-sided at the last
+    monkeypatch.setattr(timestepping, "ENERGY_GUARD", 2.0)
+    p = params(a=-5.0, b=0.0, c=0.01, gamma=2.0)
+    init = smooth_state(grid, amp_u=0.0, amp_q=0.2)
+    rec = Trajectory(grid, p)
+    with pytest.raises(BlowUpError, match="energy guard") as info:
+        twin_run(grid, init, Perturbation(1e-3, seed=1), p, TimeConfig(dt=2.0**-8, t_end=3.0), rec)
+    part = rec.arrays()
+    assert not part.states and len(part.times) == info.value.diagnostics["steps_completed"] + 1
+    assert len(part.times) >= 3
+    assert np.array_equal(part.series["chi"], log_derivative(part.times, part.series["phi"]))
+
+
+def test_twin_memory_flat_in_steps(tmp_path):
+    # twin_run holds at most two rows for its sink: with a SeriesWriter sink
+    # the traced peak of a run of 4N steps is that of N steps
+    import tracemalloc
+    from contextlib import closing
+
+    from qflow.snapshots import SeriesWriter
+
+    g = Grid(8)
+    init, p = smooth_state(g, kmax=2), params()
+
+    def twin(steps: int) -> None:
+        with closing(SeriesWriter(tmp_path / "twin.csv")) as sink:
+            assert twin_run(g, init, Perturbation(1e-3), p,
+                            TimeConfig(dt=0.001, t_end=steps * 0.001), sink) is None
+        assert sink.rows == steps + 1
+
+    twin(3)  # caches and imports outside the measurement
+    peaks = []
+    tracemalloc.start()
+    try:
+        for steps in (200, 800):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            twin(steps)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 def count_planes(monkeypatch) -> dict[str, int]:
     """Count the r2c and c2r planes passing through Grid.rfft / Grid.irfft."""
     counts = {"r2c": 0, "c2r": 0}
