@@ -137,7 +137,7 @@ def cancellation_check(grid: Grid, q1: np.ndarray, q2: np.ndarray, u: np.ndarray
     the unsigned terms from the energy balance.
     """
     g3 = velocity_gradient(grid, u)
-    om = vorticity_mat(grid, u, g3)
+    om = vorticity_mat(g3)
     m2 = q_to_mat(q2)
     lap1 = q_to_mat(grid.laplacian(q1))
 
@@ -180,7 +180,7 @@ def transport_cancellation_check(grid: Grid, trials: int = 100, seed: int = 0) -
         adv_u = u[0] * g3[0, :2] + u[1] * g3[1, :2]
         gradq = grid.gradient(grid.rfft(q))
         adv_q = u[0] * gradq[0] + u[1] * gradq[1]
-        om = vorticity_mat(grid, u, g3)
+        om = vorticity_mat(g3)
         m = q_to_mat(q)
         comm = mat_mul(om, m) - mat_mul(m, om)
         coro = np.trace(mat_mul(comm, m))

@@ -118,6 +118,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         cfg = parse_config((rundir / "config.cfg").read_text())
         traj = Trajectory(Grid(cfg.n, cfg.length), cfg.params, *read_series(rundir / "series.csv"))
+        if len(traj.times) < 3:  # the checks difference the series in time
+            raise ValueError(f"{rundir / 'series.csv'}: {len(traj.times)} rows, at least 3 needed")
     except (OSError, ConfigError, ValueError) as err:
         raise SystemExit(f"error: {err}")
 
@@ -145,9 +147,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _write_reports(path: Path, reports) -> None:
     rows = [r.row() for r in reports]
-    keys: list[str] = []
-    for row in rows:
-        keys += [k for k in row if k not in keys]
+    keys = list(dict.fromkeys(k for row in rows for k in row))
     write_csv(path, keys, ([row.get(k, "") for k in keys] for row in rows))
 
 

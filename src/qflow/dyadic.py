@@ -294,7 +294,7 @@ def commutator(
     part.require_q(q)
     part.require_q(qp)
     g = part.grid
-    sa = g.irfft(part.lowpass_multiplier(qp - 1) * g.rfft(g.zero_mean(a)))
+    sa = part.lowpass(g.zero_mean(a), qp - 1)
     fh = g.rfft(f)
     first = part.block_irfft(g.rfft(sa * part.block_irfft(fh, qp)), q)
     second = sa * part.block_irfft(fh, q, qp)

@@ -47,15 +47,6 @@ def q_to_mat(q: np.ndarray) -> np.ndarray:
     return (S0_BASIS.reshape(5, 9).T @ q.reshape(5, -1)).reshape((3, 3) + q.shape[1:])
 
 
-def mat_to_q(m: np.ndarray) -> np.ndarray:
-    """Project matrix entries (3, 3, n, n) onto the basis planes (5, n, n), the transpose GEMM.
-
-    The projection discards any trace or antisymmetric part, so the result
-    is the nearest S0 field in the Frobenius sense.
-    """
-    return (S0_BASIS.reshape(5, 9) @ m.reshape(9, -1)).reshape((5,) + m.shape[2:])
-
-
 def mat_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pointwise matrix product of (3, 3, ...) fields over the two leading axes."""
     return np.einsum("ik...,kj...->ij...", x, y)
@@ -99,18 +90,12 @@ class State:
 #
 # In the E basis every pointwise product the model needs is a fixed bilinear
 # map of coefficient planes; the dense (3, 3, n, n) expansion through
-# q_to_mat / vorticity_mat is kept only as an independent oracle.
+# q_to_mat / vorticity_mat serves only the checks and dyadic.SymDecompContext.
 
 
 def trace_q2(q: np.ndarray) -> np.ndarray:
     """Pointwise tr(Q^2) = |Q|^2 (orthonormal basis)."""
     return np.sum(q * q, axis=0)
-
-
-def trace_q3(q: np.ndarray) -> np.ndarray:
-    """Pointwise tr(Q^3) via dense matrix products."""
-    m = q_to_mat(q)
-    return np.trace(mat_mul(mat_mul(m, m), m))
 
 
 def s0_square(q: np.ndarray) -> np.ndarray:
@@ -178,21 +163,15 @@ def velocity_gradient(grid: Grid, u: np.ndarray) -> np.ndarray:
     return g
 
 
-def vorticity_mat(grid: Grid, u: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-    """Antisymmetric part Omega = (grad u - grad u^T)/2 as a 3x3 field.
-
-    g, if given, is velocity_gradient(grid, u), which is then not transformed again.
-    """
-    if g is None:
-        g = velocity_gradient(grid, u)
+def vorticity_mat(g: np.ndarray) -> np.ndarray:
+    """Antisymmetric part Omega = (grad u - grad u^T)/2 of g = velocity_gradient(grid, u)."""
     return 0.5 * (g - g.swapaxes(0, 1))
 
 
 # -- model terms ---------------------------------------------------------------
 #
-# The termwise physical-space operators below transform their own inputs;
-# tests use them as the reference for `nonlinear`, which evaluates the same
-# closed forms on one set of transformed planes.
+# `nonlinear` evaluates every term of the model on one set of transformed
+# planes; `bulk_force` is the plain pointwise bulk force the checks bound.
 
 
 def _bulk_products(grid: Grid, q: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -203,31 +182,9 @@ def _bulk_products(grid: Grid, q: np.ndarray, p: ModelParams) -> np.ndarray:
     return out
 
 
-def bulk_force(q: np.ndarray, p: ModelParams, grid: Grid | None = None) -> np.ndarray:
-    """Landau-de Gennes bulk force -aQ + b(Q^2 - tr(Q^2)Id/3) - c tr(Q^2) Q.
-
-    With a grid supplied the quadratic and cubic products are dealiased
-    (two-thirds rule, tr(Q^2) first); without one the evaluation is plain
-    pointwise arithmetic.
-    """
-    if grid is None:
-        return -p.a * q + p.b * s0_square(q) - p.c * trace_q2(q)[None] * q
-    return -p.a * q + grid.dealias(_bulk_products(grid, q, p))
-
-
-def corotation(grid: Grid, q: np.ndarray, u: np.ndarray, dealias: bool = True) -> np.ndarray:
-    """Commutator Omega Q - Q Omega rotating the tensor with the flow."""
-    uh = grid.rfft(u)
-    w = grid.irfft(0.5 * (grid.deriv_hat(uh[1], 1) - grid.deriv_hat(uh[0], 2)))
-    out = corotate(w, q)
-    return grid.dealias(out) if dealias else out
-
-
-def advect(grid: Grid, u: np.ndarray, f: np.ndarray, dealias: bool = True) -> np.ndarray:
-    """Transport term u . grad f for a field of any component count."""
-    df = grid.gradient(grid.rfft(f))
-    out = u[0] * df[0] + u[1] * df[1]
-    return grid.dealias(out) if dealias else out
+def bulk_force(q: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Landau-de Gennes bulk force -aQ + b(Q^2 - tr(Q^2)Id/3) - c tr(Q^2) Q, pointwise."""
+    return -p.a * q + p.b * s0_square(q) - p.c * trace_q2(q)[None] * q
 
 
 def _stress_planes(out: np.ndarray, q: np.ndarray, lap: np.ndarray, d1q: np.ndarray,
@@ -243,13 +200,6 @@ def _stress_planes(out: np.ndarray, q: np.ndarray, lap: np.ndarray, d1q: np.ndar
     return out
 
 
-def _termwise_stress_planes(grid: Grid, q: np.ndarray) -> np.ndarray:
-    """_stress_planes of Q, transforming its own derivative planes."""
-    qh = grid.rfft(q)
-    return _stress_planes(np.empty((4,) + q.shape[1:]), q, grid.irfft(grid.laplacian_hat(qh)),
-                          *grid.gradient(qh))
-
-
 def _stress_div_hat(grid: Grid, sh: np.ndarray) -> np.ndarray:
     """(div S)_j = d_i S_ij of the planar stress from its four spectral planes.
 
@@ -259,28 +209,6 @@ def _stress_div_hat(grid: Grid, sh: np.ndarray) -> np.ndarray:
     ik1, ik2 = 1j * grid.k1, 1j * grid.k2
     comm, g11, g12, g22 = sh
     return np.stack([-ik1 * g11 - ik2 * (g12 + comm), ik1 * (comm - g12) - ik2 * g22])
-
-
-def stress_tensor(grid: Grid, q: np.ndarray, dealias: bool = True) -> np.ndarray:
-    """Upper-left 2x2 block of Q lap(Q) - lap(Q) Q - grad(Q) o grad(Q).
-
-    Only this block feeds the planar force; (grad Q o grad Q)_{ij} is
-    tr(d_i Q d_j Q).  Shape (2, 2, n, n).
-    """
-    comm, g11, g12, g22 = _termwise_stress_planes(grid, q)
-    sigma = np.array([[-g11, comm - g12], [-comm - g12, -g22]])
-    return grid.dealias(sigma) if dealias else sigma
-
-
-def elastic_stress_div(grid: Grid, q: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Planar components of L div{ Q lap(Q) - lap(Q) Q - grad(Q) o grad(Q) }.
-
-    The divergence contracts the derivative with the row index,
-    (div S)_j = d_i S_{ij}, which is the convention under which the
-    corotation and stress contributions to the energy cancel exactly.
-    """
-    sh = grid.dealias_mask * grid.rfft(_termwise_stress_planes(grid, q))
-    return p.L * grid.irfft(_stress_div_hat(grid, sh))
 
 
 #: The lap Q planes that (Q lapQ - lapQ Q)_12 reads: E1, E3, E4, E5, not E2.

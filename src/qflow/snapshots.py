@@ -140,11 +140,11 @@ def write_csv(path: str | Path, header: list[str], rows: Iterable[list[object]])
 
 def read_series(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Times and named columns of a SeriesWriter CSV; %.17g reads back exactly."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "t":
-            raise ValueError(f"{path}: malformed series header")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
+    header, *rows = Path(path).read_text().split("\n")
+    names = header.strip().split(",")
+    if names[0] != "t":
+        raise ValueError(f"{path}: malformed series header")
+    if not any(row.strip() for row in rows):  # before loadtxt, which warns on no data
         raise ValueError(f"{path}: empty series")
-    return data[:, 0], {name: data[:, j + 1] for j, name in enumerate(header[1:])}
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    return data[:, 0], {name: data[:, j + 1] for j, name in enumerate(names[1:])}

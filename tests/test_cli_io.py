@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import types
+import warnings
 from contextlib import closing
 from pathlib import Path
 
@@ -314,16 +315,17 @@ def test_series_single_sample_two_lines(tmp_path):
     assert path.read_text().count("\n") == 2
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")
 def test_series_empty_rejected(tmp_path):
     # a writer closed before its first row leaves no file, and a header
-    # without rows does not read as a series
+    # without rows does not read as a series; the refusal is the only output
     path = tmp_path / "e.csv"
     write_series(path, np.array([]), {})
     assert not path.exists()
     path.write_text("t,x\n")
-    with pytest.raises(ValueError, match="empty series"):
-        read_series(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty series"):
+            read_series(path)
 
 
 def test_series_row_columns_must_match_header(tmp_path):
@@ -367,6 +369,26 @@ def test_cli_analyze_and_norms(tmp_path):
     assert (out / "reports.csv").exists()
     assert main(["norms", str(out / "final.qtns"), "--spec", "0.5,2,2"]) == 0
     assert main(["norms", str(out / "final.qtns"), "--spec=-0.5,inf,inf"]) == 0
+
+
+@pytest.mark.parametrize("t_end, rows", [(0.0, 1), (0.01, 2)])
+def test_cli_analyze_refuses_short_series(tmp_path, t_end, rows):
+    # the trajectory checks difference the series in time: fewer than 3 rows
+    # is refused with one error naming the file, not a numpy traceback
+    cfg = tmp_path / "r.cfg"
+    out = tmp_path / "out"
+    text = full_config(out, extra="probes = hs:0.5\n")
+    for old, new in (("n = 32", "n = 16"), ("kmax = 6", "kmax = 4"), ("dt = 0.005", "dt = 0.01"),
+                     ("t_end = 0.05", f"t_end = {t_end}")):
+        text = text.replace(old, new)
+    cfg.write_text(text)
+    assert main(["simulate", str(cfg)]) == 0
+    assert len(read_series(out / "series.csv")[0]) == rows
+    for check in ("all", "energy", "lp_bound", "osgood"):
+        with pytest.raises(SystemExit, match=rf"^error: {re.escape(str(out / 'series.csv'))}: "
+                                             rf"{rows} rows, at least 3 needed$"):
+            main(["analyze", str(out), "--check", check])
+    assert not (out / "reports.csv").exists()
 
 
 def test_cli_twin(tmp_path):

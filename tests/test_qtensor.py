@@ -9,22 +9,19 @@ from qflow.qtensor import (
     S0_BASIS,
     ModelParams,
     State,
-    advect,
+    _bulk_products,
+    _stress_div_hat,
+    _stress_planes,
     bulk_force,
     commutator12,
     corotate,
-    corotation,
-    elastic_stress_div,
     gradient_gram,
     mat_mul,
-    mat_to_q,
     nonlinear,
     q_to_mat,
     random_qtensor,
     s0_square,
-    stress_tensor,
     trace_q2,
-    trace_q3,
     velocity_gradient,
     vorticity_mat,
 )
@@ -57,6 +54,77 @@ def tensor_rhs(grid, s, p):
 
 def velocity_rhs(grid, s, p):
     return full_rhs(grid, s, p)[0]
+
+
+# -- termwise oracles ----------------------------------------------------------
+#
+# Dense and physical-space forms of the model terms, each transforming its own
+# inputs; the tests use them as the reference for `nonlinear`, which evaluates
+# the same closed forms on one set of transformed planes.
+
+
+def mat_to_q(m: np.ndarray) -> np.ndarray:
+    """Project matrix entries (3, 3, n, n) onto the basis planes (5, n, n), the transpose GEMM.
+
+    The projection discards any trace or antisymmetric part, so the result
+    is the nearest S0 field in the Frobenius sense.
+    """
+    return (S0_BASIS.reshape(5, 9) @ m.reshape(9, -1)).reshape((5,) + m.shape[2:])
+
+
+def trace_q3(q: np.ndarray) -> np.ndarray:
+    """Pointwise tr(Q^3) via dense matrix products."""
+    m = q_to_mat(q)
+    return np.trace(mat_mul(mat_mul(m, m), m))
+
+
+def dealiased_bulk_force(grid: Grid, q: np.ndarray, p: ModelParams) -> np.ndarray:
+    """bulk_force with its products dealiased (two-thirds rule, tr(Q^2) first)."""
+    return -p.a * q + grid.dealias(_bulk_products(grid, q, p))
+
+
+def corotation(grid: Grid, q: np.ndarray, u: np.ndarray, dealias: bool = True) -> np.ndarray:
+    """Commutator Omega Q - Q Omega rotating the tensor with the flow."""
+    uh = grid.rfft(u)
+    w = grid.irfft(0.5 * (grid.deriv_hat(uh[1], 1) - grid.deriv_hat(uh[0], 2)))
+    out = corotate(w, q)
+    return grid.dealias(out) if dealias else out
+
+
+def advect(grid: Grid, u: np.ndarray, f: np.ndarray, dealias: bool = True) -> np.ndarray:
+    """Transport term u . grad f for a field of any component count."""
+    df = grid.gradient(grid.rfft(f))
+    out = u[0] * df[0] + u[1] * df[1]
+    return grid.dealias(out) if dealias else out
+
+
+def _termwise_stress_planes(grid: Grid, q: np.ndarray) -> np.ndarray:
+    """_stress_planes of Q, transforming its own derivative planes."""
+    qh = grid.rfft(q)
+    return _stress_planes(np.empty((4,) + q.shape[1:]), q, grid.irfft(grid.laplacian_hat(qh)),
+                          *grid.gradient(qh))
+
+
+def stress_tensor(grid: Grid, q: np.ndarray, dealias: bool = True) -> np.ndarray:
+    """Upper-left 2x2 block of Q lap(Q) - lap(Q) Q - grad(Q) o grad(Q).
+
+    Only this block feeds the planar force; (grad Q o grad Q)_{ij} is
+    tr(d_i Q d_j Q).  Shape (2, 2, n, n).
+    """
+    comm, g11, g12, g22 = _termwise_stress_planes(grid, q)
+    sigma = np.array([[-g11, comm - g12], [-comm - g12, -g22]])
+    return grid.dealias(sigma) if dealias else sigma
+
+
+def elastic_stress_div(grid: Grid, q: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Planar components of L div{ Q lap(Q) - lap(Q) Q - grad(Q) o grad(Q) }.
+
+    The divergence contracts the derivative with the row index,
+    (div S)_j = d_i S_{ij}, which is the convention under which the
+    corotation and stress contributions to the energy cancel exactly.
+    """
+    sh = grid.dealias_mask * grid.rfft(_termwise_stress_planes(grid, q))
+    return p.L * grid.irfft(_stress_div_hat(grid, sh))
 
 
 def uniaxial(grid, s):
@@ -172,7 +240,7 @@ def test_corotation_output_symmetric_traceless(grid):
     assert np.abs(m - m.swapaxes(0, 1)).max() == 0.0
     assert np.abs(np.trace(m)).max() <= 1e-14
     # basis projection is lossless here: the dense commutator is already in S0
-    om = vorticity_mat(grid, u)
+    om = vorticity_mat(velocity_gradient(grid, u))
     mq = q_to_mat(q)
     dense = mat_mul(om, mq) - mat_mul(mq, om)
     assert np.abs(m - grid.dealias(dense)).max() <= 1e-12
@@ -267,7 +335,8 @@ def test_nonlinear_friedrichs_matches_termwise_cut(grid):
     stressh = grid.freq_cutoff_hat(grid.leray_hat(grid.rfft(elastic_stress_div(grid, s.q, p))), 4)
     expect = grid.irfft(advh + stressh)
     assert np.abs(n_u - expect).max() <= 1e-12 * np.abs(expect).max()
-    ref_q = -advect(grid, ucut, s.q) + corotation(grid, s.q, ucut) + p.gamma * bulk_force(s.q, p, grid)
+    ref_q = (-advect(grid, ucut, s.q) + corotation(grid, s.q, ucut)
+             + p.gamma * dealiased_bulk_force(grid, s.q, p))
     assert np.abs(n_q - ref_q).max() <= 1e-12 * np.abs(ref_q).max()
 
 
@@ -301,7 +370,7 @@ def test_closed_forms_match_dense_oracle(n, length):
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
     close(s0_square(q), mat_to_q(mat_mul(m, m)))
-    om = vorticity_mat(g, u)
+    om = vorticity_mat(velocity_gradient(g, u))
     close(corotate(om[0, 1], q), mat_to_q(mat_mul(om, m) - mat_mul(m, om)))
     lap = g.laplacian(q)
     lm = q_to_mat(lap)
@@ -437,7 +506,7 @@ def test_velocity_gradient_embedding(grid):
     g3 = velocity_gradient(grid, u)
     assert g3.shape == (3, 3, grid.n, grid.n)
     assert np.abs(g3[2]).max() == 0.0 and np.abs(g3[:, 2]).max() == 0.0
-    om = vorticity_mat(grid, u)
+    om = vorticity_mat(velocity_gradient(grid, u))
     assert np.abs(om + om.swapaxes(0, 1)).max() == 0.0
     # Omega_12 = vorticity/2 with the d_i u_j convention
     uh = grid.rfft(u)
