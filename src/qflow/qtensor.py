@@ -114,33 +114,12 @@ def s0_square(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def corotate(w: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Commutator Omega Q - Q Omega for the planar spin Omega_12 = -Omega_21 = w.
-
-    It generates rotations about e3: E2 stays fixed, (E1, E3) turn at rate
-    2w and (E4, E5) at rate w.
-    """
-    out = np.empty_like(q)
-    out[0] = 2.0 * w * q[2]
-    out[1] = 0.0
-    out[2] = -2.0 * w * q[0]
-    out[3] = w * q[4]
-    out[4] = -w * q[3]
-    return out
-
-
 def commutator12(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """(Q R - R Q)_12, the one independent entry of the antisymmetric planar block.
 
     r[1], the E2 plane of R, drops out and is never read.
     """
     return q[0] * r[2] - q[2] * r[0] + 0.5 * (q[3] * r[4] - q[4] * r[3])
-
-
-def gradient_gram(d1q: np.ndarray, d2q: np.ndarray) -> np.ndarray:
-    """(grad Q o grad Q)_ij = tr(d_i Q d_j Q) as the planes (11, 12, 22), shape (3, n, n)."""
-    return np.stack([np.sum(d1q * d1q, axis=0), np.sum(d1q * d2q, axis=0),
-                     np.sum(d2q * d2q, axis=0)])
 
 
 def random_qtensor(
@@ -187,50 +166,30 @@ def bulk_force(q: np.ndarray, p: ModelParams) -> np.ndarray:
     return -p.a * q + p.b * s0_square(q) - p.c * trace_q2(q)[None] * q
 
 
-def _stress_planes(out: np.ndarray, q: np.ndarray, lap: np.ndarray, d1q: np.ndarray,
-                   d2q: np.ndarray) -> np.ndarray:
-    """Write the four stress planes (Q lapQ - lapQ Q)_12, G_11, G_12, G_22 into out.
-
-    G = grad Q o grad Q; the inputs are the physical planes Q, lap Q, d1 Q
-    and d2 Q (lap[1] is not read, see commutator12), and out has shape
-    (4, n, n).
-    """
-    out[0] = commutator12(q, lap)
-    out[1:] = gradient_gram(d1q, d2q)
-    return out
-
-
-def _stress_div_hat(grid: Grid, sh: np.ndarray) -> np.ndarray:
-    """(div S)_j = d_i S_ij of the planar stress from its four spectral planes.
-
-    S_11 = -G_11, S_12 = C - G_12, S_21 = -C - G_12, S_22 = -G_22 with C the
-    commutator entry; two planes of sh's layout.
-    """
-    ik1, ik2 = 1j * grid.k1, 1j * grid.k2
-    comm, g11, g12, g22 = sh
-    return np.stack([-ik1 * g11 - ik2 * (g12 + comm), ik1 * (comm - g12) - ik2 * g22])
-
-
-#: The lap Q planes that (Q lapQ - lapQ Q)_12 reads: E1, E3, E4, E5, not E2.
-_COMMUTATOR_PLANES = [0, 2, 3, 4]
-
-
 def _momentum_hat(grid: Grid, u: np.ndarray, omega: np.ndarray, q: np.ndarray, lap: np.ndarray,
                   dq: np.ndarray, p: ModelParams) -> np.ndarray:
     """P[omega u_perp + L div S] from the physical planes; omega = d1 u2 - d2 u1, dq[i-1] = d_i Q.
 
-    lap holds the lap Q planes _COMMUTATOR_PLANES.  omega u_perp =
-    (omega u2, -omega u1) differs from -u.grad(u) by the gradient of
-    |u|^2/2, which the Leray projection removes.  The six momentum planes
-    (advection, the stress commutator entry and grad Q o grad Q) are
-    dealiased once, after their products, by the band view's forward transform.
+    Both forces are taken up to a gradient, which the Leray projection
+    removes.  omega u_perp = (omega u2, -omega u1) is -u.grad(u) +
+    grad(|u|^2/2).  The stress S = Q lapQ - lapQ Q - grad Q o grad Q has
+    the antisymmetric block of C = (Q lapQ - lapQ Q)_12, with divergence
+    (-d2 C, d1 C), and div(grad Q o grad Q)_j = sum_a lapq_a d_j q_a +
+    d_j(|grad Q|^2/2).  The three planes omega u_perp - L sum_a lapq_a
+    grad q_a and C are dealiased once, after their products, by the band
+    view's forward transform; L (-i k2, i k1) C_hat is added in spectral space.
     """
-    mom = np.empty((6,) + u.shape[1:])
-    mom[0] = omega * u[1]
-    mom[1] = -omega * u[0]
-    _stress_planes(mom[2:], q, (lap[0], None, lap[1], lap[2], lap[3]), dq[0], dq[1])
-    mh = grid.band.rfft(mom)
-    return grid.leray_hat(mh[:2] + p.L * _stress_div_hat(grid, mh[2:]))
+    mom = np.empty((3,) + u.shape[1:])
+    np.einsum("a...,ia...->i...", lap, dq, out=mom[:2])
+    mom[:2] *= -p.L
+    mom[0] += omega * u[1]
+    mom[1] -= omega * u[0]
+    mom[2] = commutator12(q, lap)
+    fh = grid.band.rfft(mom)
+    ch = p.L * fh[2]
+    fh[0] -= 1j * grid.k2 * ch
+    fh[1] += 1j * grid.k1 * ch
+    return grid.leray_hat(fh[:2])
 
 
 def _tensor_hat(grid: Grid, u: np.ndarray, w: np.ndarray, q: np.ndarray, qh: np.ndarray,
@@ -239,13 +198,17 @@ def _tensor_hat(grid: Grid, u: np.ndarray, w: np.ndarray, q: np.ndarray, qh: np.
 
     bulk is _bulk_products(grid, q, p); it is overwritten with the five
     summed product planes, which are dealiased once (the band view's
-    forward transform); -gamma a Q is added in spectral space.
+    forward transform); -gamma a Q is added in spectral space.  The
+    commutator Omega Q - Q Omega generates rotations about e3: E2 stays
+    fixed, (E1, E3) turn at rate 2w and (E4, E5) at rate w.
     """
     n_q = bulk
     n_q *= p.gamma
-    n_q += corotate(w, q)
-    n_q -= u[0] * dq[0]
-    n_q -= u[1] * dq[1]
+    n_q -= np.einsum("i...,ia...->a...", u, dq)
+    n_q[0] += 2.0 * w * q[2]
+    n_q[2] -= 2.0 * w * q[0]
+    n_q[3] += w * q[4]
+    n_q[4] -= w * q[3]
     n_qh = grid.band.rfft(n_q)
     n_qh -= (p.gamma * p.a) * qh
     return n_qh
@@ -274,17 +237,6 @@ def _pairing(grid: Grid, f, h) -> float:
     return float(sum(np.sum(fa * ha) for fa, ha in zip(f, h))) * grid.cell_area
 
 
-def _state_planes(grid: Grid, u: np.ndarray, q: np.ndarray, qh: np.ndarray, bulk: np.ndarray,
-                  lap: np.ndarray) -> StatePlanes:
-    """StatePlanes from the physical planes u, Q, B = bulk and the lap Q planes _COMMUTATOR_PLANES.
-
-    Transforms the one lap Q plane that lap lacks, E2 (1 c2r).
-    """
-    lap_e2 = grid.irfft(grid.laplacian_hat(qh[1]))
-    b_lapq = _pairing(grid, [*(bulk[a] for a in _COMMUTATOR_PLANES), bulk[1]], [*lap, lap_e2])
-    return StatePlanes(u, q, _pairing(grid, bulk, q), b_lapq)
-
-
 def state_planes(grid: Grid, uh: np.ndarray, qh: np.ndarray, p: ModelParams) -> StatePlanes:
     """StatePlanes of the band coefficients (uh, qh) of grid (or of its band view),
     with no right-hand side.
@@ -294,8 +246,9 @@ def state_planes(grid: Grid, uh: np.ndarray, qh: np.ndarray, p: ModelParams) -> 
     """
     grid = grid.band
     q = grid.irfft(qh)
-    lap = grid.irfft(grid.laplacian_hat(qh[_COMMUTATOR_PLANES]))
-    return _state_planes(grid, grid.irfft(uh), q, qh, _bulk_products(grid, q, p), lap)
+    bulk = _bulk_products(grid, q, p)
+    lap = grid.irfft(grid.laplacian_hat(qh))
+    return StatePlanes(grid.irfft(uh), q, _pairing(grid, bulk, q), _pairing(grid, bulk, lap))
 
 
 def nonlinear(
@@ -313,20 +266,20 @@ def nonlinear(
     momentum nonlinearities are wrapped as J_n P(...), as in the truncated
     system.
 
-    Advection of momentum is taken in vorticity form, P(omega u_perp),
-    which equals P(-u.grad u) on in-band u because two-thirds-rule products
-    of in-band fields are exact.  One call transforms the 22 physical planes
-    u, omega, Q, d1 Q, d2 Q and the four lap Q planes the stress commutator
-    reads, evaluates the closed-form S0 products, and transforms back the
-    summed products with one dealias mask per output (5 planes for N_Q,
-    6 momentum planes); only tr(Q^2) inside the cubic term takes its own
-    dealiased round trip.
+    Advection of momentum is taken in vorticity form, P(omega u_perp), and
+    the elastic force as P(L (-d2 C, d1 C) - L sum_a lapq_a grad q_a), with
+    C = (Q lapQ - lapQ Q)_12 (see _momentum_hat).  Each differs from the
+    model's form by a gradient, so the two agree on in-band fields, where
+    two-thirds-rule products are exact.  One call transforms the 23
+    physical planes u, omega, Q, d1 Q, d2 Q and lap Q, evaluates the
+    closed-form S0 products, and transforms back the summed products with
+    one dealias mask per output (5 planes for N_Q, 3 momentum planes);
+    only tr(Q^2) inside the cubic term takes its own dealiased round trip.
 
     planes=True also returns the StatePlanes record of (uh, qh), built from
     this call's own planes u, Q, the bulk products (before they are scaled
-    into N_Q) and lap Q.  That adds the E2 lap Q plane (1 c2r) and, in
-    Friedrichs mode, where the call's u is the cut velocity, the uncut u
-    (2 c2r).
+    into N_Q) and lap Q.  That adds no transform, except in Friedrichs
+    mode, where the call's u is the cut velocity: the uncut u (2 c2r).
     """
     g = grid.band
     uh_cut = uh if p.n_cutoff is None else g.freq_cutoff_hat(uh, p.n_cutoff)
@@ -334,11 +287,12 @@ def nonlinear(
     q = g.irfft(qh)
     dq = g.gradient(qh)
     omega = g.irfft(g.deriv_hat(uh_cut[1], 1) - g.deriv_hat(uh_cut[0], 2))
-    lap = g.irfft(g.laplacian_hat(qh[_COMMUTATOR_PLANES]))
+    lap = g.irfft(g.laplacian_hat(qh))
     n_uh = _momentum_hat(g, u, omega, q, lap, dq, p)
     bulk = _bulk_products(g, q, p)
     if planes:
-        record = _state_planes(g, u if uh_cut is uh else g.irfft(uh), q, qh, bulk, lap)
+        record = StatePlanes(u if uh_cut is uh else g.irfft(uh), q, _pairing(g, bulk, q),
+                             _pairing(g, bulk, lap))
     del lap
     n_qh = _tensor_hat(g, u, 0.5 * omega, q, qh, dq, bulk, p)
     if p.n_cutoff is not None:

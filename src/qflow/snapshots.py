@@ -103,7 +103,8 @@ class SeriesWriter:
     its header `t,<names...>` are made at the first row, and a row with other
     names raises ValueError.  As a run's sink (see timestepping.Trajectory)
     it also writes the state after k steps next to path, as
-    snap_k<k, 9 digits>.qtns or, the last, final.qtns."""
+    snap_k<k, 9 digits>.qtns or, the last, final.qtns; that needs the grid
+    and params, and a writer made without them raises ValueError."""
 
     def __init__(self, path: Path, grid: Grid | None = None, params: ModelParams | None = None):
         self.path, self.grid, self.params = Path(path), grid, params
@@ -122,6 +123,10 @@ class SeriesWriter:
         self.rows, self.first, self.last = self.rows + 1, self.first or (t, values), (t, values)
 
     def state(self, k: int, s: State, last: bool) -> None:
+        missing = " and ".join(name for name in ("grid", "params") if getattr(self, name) is None)
+        if missing:
+            raise ValueError(f"{self.path}: a snapshot needs the {missing} this SeriesWriter "
+                             "was made without")
         name = "final.qtns" if last else f"snap_k{k:09d}.qtns"
         write_snapshot(self.path.parent / name, self.grid, self.params, s)
 

@@ -28,12 +28,9 @@ from qflow.snapshots import (SeriesWriter, SnapshotError, read_series, read_snap
                              write_snapshot)
 from qflow.spectral import Grid, random_velocity
 from qflow.qtensor import random_qtensor
-from qflow.timestepping import BandError, _band_limited
+from qflow.timestepping import BandError, TimeConfig, _band_limited, run
 
-MINIMAL = """
-[grid]
-n = 32
-
+PARAMS = """
 [params]
 a = -0.2
 b = 0.8
@@ -43,9 +40,17 @@ nu = 0.25
 L = 0.4
 """
 
+MINIMAL = """
+[grid]
+n = 32
+""" + PARAMS
+
 
 def full_config(outdir, n=32, extra=""):
-    return MINIMAL + f"""
+    return f"""
+[grid]
+n = {n}
+""" + PARAMS + f"""
 [time]
 dt = 0.005
 t_end = 0.05
@@ -326,6 +331,24 @@ def test_series_empty_rejected(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="empty series"):
             read_series(path)
+
+
+def test_series_writer_without_grid_refuses_states(tmp_path):
+    # a writer made for rows alone has no grid or params to put in a
+    # snapshot header: as a run's sink it names them, not an AttributeError
+    g = Grid(16)
+    init = State(np.zeros((2, 16, 16)), random_qtensor(g, np.random.default_rng(0), kmax=4))
+    p = parse_config(MINIMAL).params
+    path = tmp_path / "s.csv"
+    for writer, missing in ((SeriesWriter(path), "grid and params"),
+                            (SeriesWriter(path, grid=g), "params"),
+                            (SeriesWriter(path, params=p), "grid")):
+        with closing(writer) as sink, pytest.raises(ValueError, match=(
+                f"{re.escape(str(path))}: a snapshot needs the {missing} this")):
+            run(g, init, p, TimeConfig(dt=1e-3, t_end=2e-3), sink=sink)
+    with closing(SeriesWriter(path, g, p)) as sink:
+        run(g, init, p, TimeConfig(dt=1e-3, t_end=2e-3), sink=sink)
+    assert read_snapshot(tmp_path / "final.qtns")[2].t == 2e-3
 
 
 def test_series_row_columns_must_match_header(tmp_path):

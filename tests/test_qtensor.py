@@ -10,12 +10,8 @@ from qflow.qtensor import (
     ModelParams,
     State,
     _bulk_products,
-    _stress_div_hat,
-    _stress_planes,
     bulk_force,
     commutator12,
-    corotate,
-    gradient_gram,
     mat_mul,
     nonlinear,
     q_to_mat,
@@ -60,7 +56,8 @@ def velocity_rhs(grid, s, p):
 #
 # Dense and physical-space forms of the model terms, each transforming its own
 # inputs; the tests use them as the reference for `nonlinear`, which evaluates
-# the same closed forms on one set of transformed planes.
+# the same closed forms on one set of transformed planes, and takes the stress
+# up to a gradient (three momentum planes where these take six).
 
 
 def mat_to_q(m: np.ndarray) -> np.ndarray:
@@ -76,6 +73,51 @@ def trace_q3(q: np.ndarray) -> np.ndarray:
     """Pointwise tr(Q^3) via dense matrix products."""
     m = q_to_mat(q)
     return np.trace(mat_mul(mat_mul(m, m), m))
+
+
+def corotate(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Commutator Omega Q - Q Omega for the planar spin Omega_12 = -Omega_21 = w.
+
+    It generates rotations about e3: E2 stays fixed, (E1, E3) turn at rate
+    2w and (E4, E5) at rate w.
+    """
+    out = np.empty_like(q)
+    out[0] = 2.0 * w * q[2]
+    out[1] = 0.0
+    out[2] = -2.0 * w * q[0]
+    out[3] = w * q[4]
+    out[4] = -w * q[3]
+    return out
+
+
+def gradient_gram(d1q: np.ndarray, d2q: np.ndarray) -> np.ndarray:
+    """(grad Q o grad Q)_ij = tr(d_i Q d_j Q) as the planes (11, 12, 22), shape (3, n, n)."""
+    return np.stack([np.sum(d1q * d1q, axis=0), np.sum(d1q * d2q, axis=0),
+                     np.sum(d2q * d2q, axis=0)])
+
+
+def _stress_planes(out: np.ndarray, q: np.ndarray, lap: np.ndarray, d1q: np.ndarray,
+                   d2q: np.ndarray) -> np.ndarray:
+    """Write the four stress planes (Q lapQ - lapQ Q)_12, G_11, G_12, G_22 into out.
+
+    G = grad Q o grad Q; the inputs are the physical planes Q, lap Q, d1 Q
+    and d2 Q (lap[1] is not read, see commutator12), and out has shape
+    (4, n, n).
+    """
+    out[0] = commutator12(q, lap)
+    out[1:] = gradient_gram(d1q, d2q)
+    return out
+
+
+def _stress_div_hat(grid: Grid, sh: np.ndarray) -> np.ndarray:
+    """(div S)_j = d_i S_ij of the planar stress from its four spectral planes.
+
+    S_11 = -G_11, S_12 = C - G_12, S_21 = -C - G_12, S_22 = -G_22 with C the
+    commutator entry; two planes of sh's layout.
+    """
+    ik1, ik2 = 1j * grid.k1, 1j * grid.k2
+    comm, g11, g12, g22 = sh
+    return np.stack([-ik1 * g11 - ik2 * (g12 + comm), ik1 * (comm - g12) - ik2 * g22])
 
 
 def dealiased_bulk_force(grid: Grid, q: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -356,6 +398,30 @@ def test_nonlinear_on_out_of_band_coefficients_matches_full_transforms(monkeypat
         workers=self.workers))
     for a, b in zip(got, nonlinear(g, g.band.gather(uh), g.band.gather(qh), p)):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n, length, n_cutoff", [(64, 2 * np.pi, None), (64, 3.7, None),
+                                                (32, 2 * np.pi, 4)])
+def test_nonlinear_momentum_matches_six_plane_stress_form(n, length, n_cutoff):
+    # N_u takes the stress as lap Q : grad Q up to a gradient; on in-band
+    # fields it equals P[omega u_perp + L div S] with the four stress
+    # planes, six momentum planes in all, dealiased before the divergence
+    g = Grid(n, length)
+    band = g.band
+    rng = np.random.default_rng(18)
+    p = params(n_cutoff=n_cutoff)
+    uh, qh = band.rfft(random_velocity(g, rng)), band.rfft(random_qtensor(g, rng))
+    got = nonlinear(g, uh, qh, p)[0]
+    uh_cut = uh if n_cutoff is None else band.freq_cutoff_hat(uh, n_cutoff)
+    u = band.irfft(uh_cut)
+    omega = band.irfft(band.deriv_hat(uh_cut[1], 1) - band.deriv_hat(uh_cut[0], 2))
+    adv = band.rfft(np.stack([omega * u[1], -omega * u[0]]))
+    sh = band.rfft(_termwise_stress_planes(g, band.irfft(qh)))
+    expect = band.leray_hat(adv + p.L * _stress_div_hat(band, sh))
+    if n_cutoff is not None:
+        expect = band.freq_cutoff_hat(expect, n_cutoff)
+    expect[:, 0, 0] = 0.0
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("n, length", [(32, 2 * np.pi), (64, 3.7)])

@@ -377,9 +377,9 @@ def count_planes(monkeypatch) -> dict[str, int]:
 
 @pytest.mark.parametrize("n_cutoff", [None, 4])
 def test_step_and_probe_plane_budget(monkeypatch, n_cutoff):
-    # per stage 23 c2r (22 physical planes: u, omega, Q, grad Q and four lap Q
-    # planes; and the tr(Q^2) round trip) and 12 r2c (5 + 6 outputs,
-    # tr(Q^2)); the state stays in coefficients
+    # per stage 24 c2r (23 physical planes: u, omega, Q, grad Q and lap Q;
+    # and the tr(Q^2) round trip) and 9 r2c (5 + 3 outputs, tr(Q^2)); the
+    # state stays in coefficients
     g = Grid(16)
     p = params(n_cutoff=n_cutoff)
     s = smooth_state(g, kmax=4)
@@ -394,11 +394,11 @@ def test_step_and_probe_plane_budget(monkeypatch, n_cutoff):
         fn(*args, **kw)
         return counts["r2c"], counts["c2r"]
 
-    assert planes(stepper.step, uh, qh, 1e-3) == (24, 46)
+    assert planes(stepper.step, uh, qh, 1e-3) == (18, 48)
     *k1, rec = nonlinear(g, uh, qh, p, planes=True)
-    assert planes(stepper.step, uh, qh, 1e-3, k1) == (12, 23)
-    # the stage-1 record adds the E2 lap Q plane
-    assert planes(nonlinear, g, uh, qh, p, planes=True) == (12, 24 + cut)
+    assert planes(stepper.step, uh, qh, 1e-3, k1) == (9, 24)
+    # the stage-1 record reads the stage's own planes
+    assert planes(nonlinear, g, uh, qh, p, planes=True) == (9, 24 + cut)
     # a record without k1: u, Q, the tr(Q^2) round trip and five lap Q planes
     assert planes(state_planes, g, uh, qh, p) == (1, 13)
     weights = probe_weights(g, part, (1.0, 0.5))
@@ -410,17 +410,17 @@ def test_step_and_probe_plane_budget(monkeypatch, n_cutoff):
         return r2c[1] - r2c[0], c2r[1] - c2r[0]
 
     fixed = [TimeConfig(dt=1e-3, t_end=m * 1e-3) for m in (2, 3)]
-    assert per_step(lambda tc: run(g, s, p, tc, hs_probes=(0.5,)), fixed) == (24, 47 + cut)
+    assert per_step(lambda tc: run(g, s, p, tc, hs_probes=(0.5,)), fixed) == (18, 48 + cut)
     # twin_run, per twin step: two member steps; a probe row transforms nothing
     twin = Perturbation(1e-3, seed=1)
-    assert per_step(lambda tc: twin_run(g, s, twin, p, tc), fixed) == (48, 92)
+    assert per_step(lambda tc: twin_run(g, s, twin, p, tc), fixed) == (36, 96)
     w = probe_weights(g, part, (-0.5,))
     assert planes(timestepping._twin_probes, g, w, (uh, qh), (uh, 2.0 * qh), p) == (0, 0)
     # with dt = auto, member 1's record sizes the step and its stage 1 gives k1
     auto = [TimeConfig(dt="auto", t_end=m * 0.15) for m in (2, 3)]  # dt is about 0.157
     steps = [len(twin_run(g, s, twin, p, tc).times) - 1 for tc in auto]
     assert steps[1] == steps[0] + 1
-    assert per_step(lambda tc: twin_run(g, s, twin, p, tc), auto) == (48, 93 + cut)
+    assert per_step(lambda tc: twin_run(g, s, twin, p, tc), auto) == (36, 96 + cut)
 
 
 @pytest.mark.parametrize("n_cutoff", [None, 4])
