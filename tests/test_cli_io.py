@@ -400,8 +400,8 @@ def test_cli_analyze_refuses_short_series(tmp_path, t_end, rows):
     # is refused with one error naming the file, not a numpy traceback
     cfg = tmp_path / "r.cfg"
     out = tmp_path / "out"
-    text = full_config(out, extra="probes = hs:0.5\n")
-    for old, new in (("n = 32", "n = 16"), ("kmax = 6", "kmax = 4"), ("dt = 0.005", "dt = 0.01"),
+    text = full_config(out, n=16, extra="probes = hs:0.5\n")
+    for old, new in (("kmax = 6", "kmax = 4"), ("dt = 0.005", "dt = 0.01"),
                      ("t_end = 0.05", f"t_end = {t_end}")):
         text = text.replace(old, new)
     cfg.write_text(text)
@@ -449,7 +449,7 @@ def test_cli_simulate_aborts_auto_dt_run_past_max_steps(tmp_path):
     # steps: the run aborts before its first step and flushes row 0
     cfg = tmp_path / "r.cfg"
     out = tmp_path / "out"
-    text = full_config(out).replace("n = 32", "n = 16").replace("kmax = 6", "kmax = 4")
+    text = full_config(out, n=16).replace("kmax = 6", "kmax = 4")
     text = text.replace("dt = 0.005", "dt = auto").replace("t_end = 0.05", "t_end = 1.0")
     cfg.write_text(text.replace("amplitude_u = 0.4", "amplitude_u = 1e8"))
     res = subprocess.run([sys.executable, "-m", "qflow.cli", "simulate", str(cfg)], env=_src_env(),
