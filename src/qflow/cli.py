@@ -161,6 +161,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise SystemExit(f"error: --trials must be >= 1, got {trials}")
     if seed < 0:
         raise SystemExit(f"error: --seed must be >= 0, got {seed}")
+    if args.csv and not Path(args.csv).parent.is_dir():
+        raise SystemExit(f"error: --csv {args.csv}: directory {Path(args.csv).parent} does not exist")
     registry = {
         "partition": lambda: checks.partition_unity_check(grid),
         "bony": lambda: checks.bony_check(grid, trials, seed),

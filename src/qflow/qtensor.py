@@ -102,15 +102,16 @@ def s0_square(q: np.ndarray) -> np.ndarray:
     """Pointwise proj_S0(Q^2)_a = sum_bc C_abc c_b c_c with C_abc = tr(E_a E_b E_c).
 
     Of the 125 constants C_abc, 25 are nonzero; they are collected here
-    term by term.
+    term by term, each row written in place, with c4^2 and c5^2 taken once.
     """
     c1, c2, c3, c4, c5 = q
     out = np.empty_like(q)
-    out[0] = (2.0 / _S6) * c1 * c2 + (c4 * c4 - c5 * c5) / (2.0 * _S2)
-    out[1] = (c1 * c1 - c2 * c2 + c3 * c3 - 0.5 * (c4 * c4 + c5 * c5)) / _S6
-    out[2] = (2.0 / _S6) * c2 * c3 + c4 * c5 / _S2
-    out[3] = (c1 * c4 + c3 * c5) / _S2 - c2 * c4 / _S6
-    out[4] = (c3 * c4 - c1 * c5) / _S2 - c2 * c5 / _S6
+    sq4, sq5 = c4 * c4, c5 * c5
+    np.add((2.0 / _S6) * c1 * c2, (sq4 - sq5) / (2.0 * _S2), out=out[0])
+    np.divide(c1 * c1 - c2 * c2 + c3 * c3 - 0.5 * (sq4 + sq5), _S6, out=out[1])
+    np.add((2.0 / _S6) * c2 * c3, c4 * c5 / _S2, out=out[2])
+    np.subtract((c1 * c4 + c3 * c5) / _S2, c2 * c4 / _S6, out=out[3])
+    np.subtract((c3 * c4 - c1 * c5) / _S2, c2 * c5 / _S6, out=out[4])
     return out
 
 
@@ -153,11 +154,13 @@ def vorticity_mat(g: np.ndarray) -> np.ndarray:
 # planes; `bulk_force` is the plain pointwise bulk force the checks bound.
 
 
-def _bulk_products(grid: Grid, q: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Products b proj_S0(Q^2) - c tr(Q^2) Q of the bulk force, tr(Q^2) dealiased first."""
+def _bulk_products(q: np.ndarray, d: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Bulk-force products b proj_S0(Q^2) - c d Q, d the dealiased tr(Q^2) (scaled in place)."""
     out = s0_square(q)
     out *= p.b
-    out -= (p.c * grid.dealias(trace_q2(q)))[None] * q
+    d *= p.c
+    for out_a, q_a in zip(out, q):
+        out_a -= d * q_a
     return out
 
 
@@ -167,8 +170,8 @@ def bulk_force(q: np.ndarray, p: ModelParams) -> np.ndarray:
 
 
 def _momentum_hat(grid: Grid, u: np.ndarray, omega: np.ndarray, q: np.ndarray, lap: np.ndarray,
-                  dq: np.ndarray, p: ModelParams) -> np.ndarray:
-    """P[omega u_perp + L div S] from the physical planes; omega = d1 u2 - d2 u1, dq[i-1] = d_i Q.
+                  dq: np.ndarray, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(P[omega u_perp + L div S], dealiased tr(Q^2)); omega = d1 u2 - d2 u1, dq[i-1] = d_i Q.
 
     Both forces are taken up to a gradient, which the Leray projection
     removes.  omega u_perp = (omega u2, -omega u1) is -u.grad(u) +
@@ -179,36 +182,38 @@ def _momentum_hat(grid: Grid, u: np.ndarray, omega: np.ndarray, q: np.ndarray, l
     grad q_a and C are dealiased once, after their products, by the band
     view's forward transform; L (-i k2, i k1) C_hat is added in spectral space.
     """
-    mom = np.empty((3,) + u.shape[1:])
+    mom = np.empty((4,) + u.shape[1:])
     np.einsum("a...,ia...->i...", lap, dq, out=mom[:2])
     mom[:2] *= -p.L
     mom[0] += omega * u[1]
     mom[1] -= omega * u[0]
     mom[2] = commutator12(q, lap)
+    np.einsum("a...,a...->...", q, q, out=mom[3])
     fh = grid.band.rfft(mom)
     ch = p.L * fh[2]
     fh[0] -= 1j * grid.k2 * ch
     fh[1] += 1j * grid.k1 * ch
-    return grid.leray_hat(fh[:2])
+    return grid.leray_hat(fh[:2]), grid.band.irfft(fh[3])
 
 
-def _tensor_hat(grid: Grid, u: np.ndarray, w: np.ndarray, q: np.ndarray, qh: np.ndarray,
+def _tensor_hat(grid: Grid, u: np.ndarray, omega: np.ndarray, q: np.ndarray, qh: np.ndarray,
                 dq: np.ndarray, bulk: np.ndarray, p: ModelParams) -> np.ndarray:
-    """-u.grad(Q) + Omega Q - Q Omega + gamma P(Q) from the physical planes, spin w = Omega_12.
+    """-u.grad(Q) + Omega Q - Q Omega + gamma P(Q) from the physical planes, Omega_12 = omega/2.
 
-    bulk is _bulk_products(grid, q, p); it is overwritten with the five
-    summed product planes, which are dealiased once (the band view's
-    forward transform); -gamma a Q is added in spectral space.  The
-    commutator Omega Q - Q Omega generates rotations about e3: E2 stays
-    fixed, (E1, E3) turn at rate 2w and (E4, E5) at rate w.
+    bulk is _bulk_products' output; it is overwritten with the five summed product
+    planes, which are dealiased once (the band view's forward transform);
+    -gamma a Q is added in spectral space.  The commutator Omega Q - Q Omega
+    generates rotations about e3: E2 stays fixed, (E1, E3) turn at rate omega
+    and (E4, E5) at rate omega/2, added through one plane of scratch.
     """
     n_q = bulk
     n_q *= p.gamma
     n_q -= np.einsum("i...,ia...->a...", u, dq)
-    n_q[0] += 2.0 * w * q[2]
-    n_q[2] -= 2.0 * w * q[0]
-    n_q[3] += w * q[4]
-    n_q[4] -= w * q[3]
+    t = np.multiply(omega, q[2])
+    n_q[0] += t
+    n_q[2] -= np.multiply(omega, q[0], out=t)
+    n_q[3] += np.multiply(np.multiply(omega, q[4], out=t), 0.5, out=t)
+    n_q[4] -= np.multiply(np.multiply(omega, q[3], out=t), 0.5, out=t)
     n_qh = grid.band.rfft(n_q)
     n_qh -= (p.gamma * p.a) * qh
     return n_qh
@@ -232,11 +237,6 @@ class StatePlanes:
     b_lapq: float
 
 
-def _pairing(grid: Grid, f, h) -> float:
-    """sum_a <f[a], h[a]> over paired planes, one plane of scratch at a time."""
-    return float(sum(np.sum(fa * ha) for fa, ha in zip(f, h))) * grid.cell_area
-
-
 def state_planes(grid: Grid, uh: np.ndarray, qh: np.ndarray, p: ModelParams) -> StatePlanes:
     """StatePlanes of the band coefficients (uh, qh) of grid (or of its band view),
     with no right-hand side.
@@ -246,9 +246,10 @@ def state_planes(grid: Grid, uh: np.ndarray, qh: np.ndarray, p: ModelParams) -> 
     """
     grid = grid.band
     q = grid.irfft(qh)
-    bulk = _bulk_products(grid, q, p)
+    bulk = _bulk_products(q, grid.dealias(trace_q2(q)), p)
     lap = grid.irfft(grid.laplacian_hat(qh))
-    return StatePlanes(grid.irfft(uh), q, _pairing(grid, bulk, q), _pairing(grid, bulk, lap))
+    return StatePlanes(grid.irfft(uh), q,
+                       *(float(np.vdot(bulk, f)) * grid.cell_area for f in (q, lap)))
 
 
 def nonlinear(
@@ -271,31 +272,38 @@ def nonlinear(
     C = (Q lapQ - lapQ Q)_12 (see _momentum_hat).  Each differs from the
     model's form by a gradient, so the two agree on in-band fields, where
     two-thirds-rule products are exact.  One call transforms the 23
-    physical planes u, omega, Q, d1 Q, d2 Q and lap Q, evaluates the
-    closed-form S0 products, and transforms back the summed products with
-    one dealias mask per output (5 planes for N_Q, 3 momentum planes);
-    only tr(Q^2) inside the cubic term takes its own dealiased round trip.
+    physical planes in four inverses (d1 Q and d2 Q; Q; u and omega; lap Q),
+    evaluates the closed-form S0 products, and transforms back the summed
+    products with one dealias mask per output: 5 planes for N_Q, and the 3
+    momentum planes with tr(Q^2), which the cubic term reads dealiased
+    through a one-plane inverse.  That is 7 transform calls.
 
     planes=True also returns the StatePlanes record of (uh, qh), built from
     this call's own planes u, Q, the bulk products (before they are scaled
-    into N_Q) and lap Q.  That adds no transform, except in Friedrichs
-    mode, where the call's u is the cut velocity: the uncut u (2 c2r).
+    into N_Q) and lap Q, and a copy of u (whose base would keep omega alive).
+    That adds no transform, except in Friedrichs mode, where the call's u
+    is the cut velocity: the uncut u (2 c2r).
     """
     g = grid.band
     uh_cut = uh if p.n_cutoff is None else g.freq_cutoff_hat(uh, p.n_cutoff)
-    u = g.irfft(uh_cut)
-    q = g.irfft(qh)
     dq = g.gradient(qh)
-    omega = g.irfft(g.deriv_hat(uh_cut[1], 1) - g.deriv_hat(uh_cut[0], 2))
+    q = g.irfft(qh)
+    uw = np.empty((3,) + uh.shape[1:], dtype=complex)
+    uw[:2] = uh_cut
+    np.subtract(g.deriv_hat(uh_cut[1], 1), g.deriv_hat(uh_cut[0], 2), out=uw[2])
+    uw = g.irfft(uw)
+    u, omega = uw[:2], uw[2]
     lap = g.irfft(g.laplacian_hat(qh))
-    n_uh = _momentum_hat(g, u, omega, q, lap, dq, p)
-    bulk = _bulk_products(g, q, p)
+    n_uh, d = _momentum_hat(g, u, omega, q, lap, dq, p)
+    bulk = _bulk_products(q, d, p)
+    del d
     if planes:
-        record = StatePlanes(u if uh_cut is uh else g.irfft(uh), q, _pairing(g, bulk, q),
-                             _pairing(g, bulk, lap))
+        b_q, b_lapq = (float(np.vdot(bulk, f)) * g.cell_area for f in (q, lap))
     del lap
-    n_qh = _tensor_hat(g, u, 0.5 * omega, q, qh, dq, bulk, p)
+    n_qh = _tensor_hat(g, u, omega, q, qh, dq, bulk, p)
     if p.n_cutoff is not None:
         n_uh = g.freq_cutoff_hat(n_uh, p.n_cutoff)
     n_uh[:, 0, 0] = 0.0
-    return (n_uh, n_qh, record) if planes else (n_uh, n_qh)
+    if not planes:
+        return n_uh, n_qh
+    return n_uh, n_qh, StatePlanes(u.copy() if uh_cut is uh else g.irfft(uh), q, b_q, b_lapq)

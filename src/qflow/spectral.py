@@ -219,17 +219,17 @@ class Grid:
         return -self.ksq * fh
 
     def leray_hat(self, vh: np.ndarray) -> np.ndarray:
-        """Project a 2-component spectral field onto divergence-free fields.
+        """Project a 2-component spectral field onto divergence-free fields (see _leray_tables).
 
         The zero mode is passed through unchanged (mean removal is a
         separate, deliberate step).
         """
         if vh.shape[:-2] != (2,):
             raise ValueError(f"expected two spectral planes, got shape {vh.shape}")
-        kdotv = self.k1 * vh[0] + self.k2 * vh[1]
+        p11, p12, p22 = _leray_tables(self.n, self.length, self.m)
         out = np.empty_like(vh)
-        out[0] = vh[0] - self.k1 * kdotv / self.ksq_safe
-        out[1] = vh[1] - self.k2 * kdotv / self.ksq_safe
+        np.add(p11 * vh[0], p12 * vh[1], out=out[0])
+        np.add(p12 * vh[0], p22 * vh[1], out=out[1])
         out[..., 0, 0] = vh[..., 0, 0]
         return out
 
@@ -325,6 +325,17 @@ class Grid:
         if scale == 0.0:
             return 0.0
         return float(kdotv.max() / scale)
+
+
+@functools.lru_cache(maxsize=16)
+def _leray_tables(n: int, length: float, m: int | None) -> np.ndarray:
+    """Read-only tables 1 - k1^2/k^2, -k1 k2/k^2, 1 - k2^2/k^2 of the layout box(m) (m = None:
+    the full grid), kept for the process: tables rebuilt per Grid fragmented the CLI's heap."""
+    grid = Grid(n, length).box(m)
+    k1, k2, ksq = grid.k1, grid.k2, grid.ksq_safe
+    out = np.stack([1.0 - k1 * k1 / ksq, -k1 * k2 / ksq, 1.0 - k2 * k2 / ksq])
+    out.flags.writeable = False
+    return out
 
 
 # -- seeded band-limited field generators -------------------------------------

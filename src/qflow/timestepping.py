@@ -213,26 +213,35 @@ def _band_limited(grid: Grid, s: State, what: str = "initial state"
 
 # -- diagnostics -----------------------------------------------------------------
 
+Weights = tuple[tuple[str, ...], np.ndarray]  # probe_weights' names, stacked (K, 2m+1, m+1) tables
+
 
 def probe_weights(grid: Grid, part: DyadicPartition, hs: tuple[float, ...] = ()
-                  ) -> dict[str, np.ndarray]:
+                  ) -> Weights:
     """The band weight tables of the probe channels, built once per run.
 
-    "ksq", "ksq2" and "h2" hold |k|^2, |k|^4 and (1 + |k|^2)^2; for each s in
-    hs, "hs<tag>", "hs<tag>_ksq" and "hs<tag>_ksq2" hold the H^s weight of
-    part, w_s, times 1, |k|^2 and |k|^4.  Each is the expression the channel
-    reads, evaluated on gathered tables.
+    "1", "ksq", "ksq2" and "h2" hold 1, |k|^2, |k|^4 and (1 + |k|^2)^2; for
+    each s in hs, "hs<tag>", "hs<tag>_ksq" and "hs<tag>_ksq2" hold the H^s
+    weight of part, w_s, times 1, |k|^2 and |k|^4.  Each is the expression
+    the channel reads, evaluated on gathered tables.
     """
     ksq = grid.band.ksq
-    out = {"ksq": ksq, "ksq2": ksq**2, "h2": (1.0 + ksq) ** 2}
+    out = {"1": np.ones_like(ksq), "ksq": ksq, "ksq2": ksq**2, "h2": (1.0 + ksq) ** 2}
     for sv in hs:
         w, tag = grid.band.gather(part.sobolev_weight(sv)), _hs_tag(sv)
         out[f"hs{tag}"], out[f"hs{tag}_ksq"], out[f"hs{tag}_ksq2"] = w, w * ksq, w * ksq**2
-    return out
+    return tuple(out), np.stack(list(out.values()))
+
+
+def _weighted_sums(grid: Grid, weights: Weights, *fields: np.ndarray) -> list[dict[str, float]]:
+    """Each field's sum(power_hat(f) * w) for every table w of weights, by name, as one product."""
+    names, table = weights
+    power = np.stack([grid.power_hat(f).ravel() for f in fields])
+    return [dict(zip(names, row)) for row in (power @ table.reshape(len(names), -1).T).tolist()]
 
 
 def standard_probes(
-    grid: Grid, weights: dict[str, np.ndarray], s: StatePlanes, uh: np.ndarray, qh: np.ndarray,
+    grid: Grid, weights: Weights, s: StatePlanes, uh: np.ndarray, qh: np.ndarray,
     p: ModelParams, hs_list: tuple[float, ...] = ()
 ) -> dict[str, float]:
     """Scalar diagnostic channels for one state, given as its StatePlanes
@@ -242,19 +251,19 @@ def standard_probes(
     norms of Q for p in {1, 2, 3}; for every s in hs_list adds the
     Besov-flavored homogeneous-Sobolev channels used by the growth checks.
     weights is probe_weights(grid, part, (1.0, *hs_list)), or without
-    hs_list probe_weights(grid, part).  Every weighted channel is one
-    Grid.power_sum over the field's power spectrum; the P(Q) pairings come
-    from the record's quadratures.
+    hs_list probe_weights(grid, part).  The weighted channels come from
+    one _weighted_sums product over the fields' power spectra; the L^2
+    norms and the P(Q) pairings come from the record's quadratures.
     """
     g = grid.band
-    pu, pq = g.power_hat(uh), g.power_hat(qh)
+    su, sq = _weighted_sums(g, weights, uh, qh)
 
     out: dict[str, float] = {}
     out["l2_u2"] = g.inner(s.u, s.u)
     out["l2_q2"] = g.inner(s.q, s.q)
-    out["gradu2"] = g.power_sum(pu, weights["ksq"])
-    out["gradq2"] = g.power_sum(pq, weights["ksq"])
-    out["lapq2"] = g.power_sum(pq, weights["ksq2"])
+    out["gradu2"] = su["ksq"]
+    out["gradq2"] = sq["ksq"]
+    out["lapq2"] = sq["ksq2"]
     out["energy"] = out["l2_u2"] + out["l2_q2"] + p.L * out["gradq2"]
     out["pq_q"] = -p.a * out["l2_q2"] + s.b_q
     out["pq_lapq"] = p.a * out["gradq2"] + s.b_lapq
@@ -264,15 +273,15 @@ def standard_probes(
     out["max_u"] = float(np.sqrt(np.sum(s.u**2, axis=0)).max(initial=0.0))
 
     if hs_list:
-        out["h2_q"] = float(np.sqrt(max(g.power_sum(pq, weights["h2"]), 0.0)))
-        out["h1dot_u2"] = g.power_sum(pu, weights["hs1"])
-        out["h1dot_gradq2"] = g.power_sum(pq, weights["hs1_ksq"])
+        out["h2_q"] = float(np.sqrt(max(sq["h2"], 0.0)))
+        out["h1dot_u2"] = su["hs1"]
+        out["h1dot_gradq2"] = sq["hs1_ksq"]
     for sv in hs_list:
         tag = _hs_tag(sv)
-        out[f"hs{tag}_u2"] = g.power_sum(pu, weights[f"hs{tag}"])
-        out[f"hs{tag}_gradq2"] = g.power_sum(pq, weights[f"hs{tag}_ksq"])
-        out[f"hs{tag}_gradu2"] = g.power_sum(pu, weights[f"hs{tag}_ksq"])
-        out[f"hs{tag}_lapq2"] = g.power_sum(pq, weights[f"hs{tag}_ksq2"])
+        out[f"hs{tag}_u2"] = su[f"hs{tag}"]
+        out[f"hs{tag}_gradq2"] = sq[f"hs{tag}_ksq"]
+        out[f"hs{tag}_gradu2"] = su[f"hs{tag}_ksq"]
+        out[f"hs{tag}_lapq2"] = sq[f"hs{tag}_ksq2"]
     return out
 
 
@@ -462,36 +471,30 @@ class _ChiRows:
         self.sink.row(t, {**values, "chi": chi})
 
 
-def _twin_probes(grid: Grid, weights: dict[str, np.ndarray], a: tuple[np.ndarray, np.ndarray],
+def _twin_probes(grid: Grid, weights: Weights, a: tuple[np.ndarray, np.ndarray],
                  b: tuple[np.ndarray, np.ndarray], p: ModelParams) -> dict[str, float]:
     """Twin channels of the members a = (uh, qh) and b from their band coefficients.
 
     weights is probe_weights(grid, part, (-0.5,)), with the H^{-1/2} weight
-    tables; the differences are taken as b - a.  Each field's power
-    spectrum is built once and every channel is one Grid.power_sum over it.
+    tables; the differences are taken as b - a.  Every channel comes from
+    one _weighted_sums product over the six fields' power spectra.
     """
-    g = grid.band
-    total = g.power_sum
-    w, w_ksq, w_ksq2, ksq, ksq2 = (weights[key] for key in (
-        "hsm0p5", "hsm0p5_ksq", "hsm0p5_ksq2", "ksq", "ksq2"))
-    pdu = g.power_hat(b[0] - a[0])
-    pdq = g.power_hat(b[1] - a[1])
-
+    du, dq, u1, q1, u2, q2 = _weighted_sums(grid.band, weights, b[0] - a[0], b[1] - a[1],
+                                            *a, *b)
     out: dict[str, float] = {}
-    out["du_hm2"] = total(pdu, w)
-    out["gdq_hm2"] = total(pdq, w_ksq)
+    out["du_hm2"] = du["hsm0p5"]
+    out["gdq_hm2"] = dq["hsm0p5_ksq"]
     out["phi"] = 0.5 * out["du_hm2"] + p.L * out["gdq_hm2"]
-    out["gdu_hm2"] = total(pdu, w_ksq)
-    out["lapdq_hm2"] = total(pdq, w_ksq2)
-    out["du_l22"] = total(pdu)
-    out["gdu_l22"] = total(pdu, ksq)
-    out["dq_l22"] = total(pdq)
+    out["gdu_hm2"] = du["hsm0p5_ksq"]
+    out["lapdq_hm2"] = dq["hsm0p5_ksq2"]
+    out["du_l22"] = du["1"]
+    out["gdu_l22"] = du["ksq"]
+    out["dq_l22"] = dq["1"]
 
-    for tag, (uh, qh) in (("1", a), ("2", b)):
-        pu, pq = g.power_hat(uh), g.power_hat(qh)
-        out[f"u{tag}_l22"] = total(pu)
-        out[f"q{tag}_l22"] = total(pq)
-        out[f"gu{tag}_l22"] = total(pu, ksq)
-        out[f"gq{tag}_l22"] = total(pq, ksq)
-        out[f"lq{tag}_l22"] = total(pq, ksq2)
+    for tag, su, sq in (("1", u1, q1), ("2", u2, q2)):
+        out[f"u{tag}_l22"] = su["1"]
+        out[f"q{tag}_l22"] = sq["1"]
+        out[f"gu{tag}_l22"] = su["ksq"]
+        out[f"gq{tag}_l22"] = sq["ksq"]
+        out[f"lq{tag}_l22"] = sq["ksq2"]
     return out

@@ -153,6 +153,18 @@ def test_check_exit_code_on_failure(monkeypatch):
     assert main(["check", "partition", "--n", "32"]) == 1
 
 
+def test_check_csv_into_missing_directory_fails_before_any_check(tmp_path, monkeypatch, capsys):
+    from qflow import checks
+
+    monkeypatch.setattr(checks, "partition_unity_check",
+                        lambda grid: pytest.fail("a check ran before the CSV path was checked"))
+    missing = tmp_path / "missing" / "reports.csv"
+    with pytest.raises(SystemExit, match=r"^error: --csv .*missing.* does not exist$"):
+        main(["check", "all", "--n", "32", "--trials", "1", "--seed", "0", "--csv", str(missing)])
+    assert capsys.readouterr().out == ""
+    assert not missing.parent.exists()
+
+
 def test_cli_check_rejects_bad_grid_and_threads(monkeypatch):
     with pytest.raises(SystemExit, match="error: grid size must be a power of two"):
         main(["check", "partition", "--n", "12"])

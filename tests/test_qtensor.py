@@ -122,7 +122,7 @@ def _stress_div_hat(grid: Grid, sh: np.ndarray) -> np.ndarray:
 
 def dealiased_bulk_force(grid: Grid, q: np.ndarray, p: ModelParams) -> np.ndarray:
     """bulk_force with its products dealiased (two-thirds rule, tr(Q^2) first)."""
-    return -p.a * q + grid.dealias(_bulk_products(grid, q, p))
+    return -p.a * q + grid.dealias(_bulk_products(q, grid.dealias(trace_q2(q)), p))
 
 
 def corotation(grid: Grid, q: np.ndarray, u: np.ndarray, dealias: bool = True) -> np.ndarray:
@@ -422,6 +422,29 @@ def test_nonlinear_momentum_matches_six_plane_stress_form(n, length, n_cutoff):
         expect = band.freq_cutoff_hat(expect, n_cutoff)
     expect[:, 0, 0] = 0.0
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("n, n_cutoff", [(128, None), (256, 8)])
+def test_nonlinear_peak_memory(n, n_cutoff):
+    # every plane of a stage dies at its last reader: the traced peak of one
+    # call with its record stays within 36 (n, n) float planes (35.8 for the
+    # nine-call stage at 256^2 with n_cutoff)
+    import tracemalloc
+
+    g = Grid(n)
+    rng = np.random.default_rng(19)
+    p = params(n_cutoff=n_cutoff)
+    uh, qh = g.band.rfft(random_velocity(g, rng)), g.band.rfft(random_qtensor(g, rng))
+    nonlinear(g, uh, qh, p, planes=True)  # caches outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = nonlinear(g, uh, qh, p, planes=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 3
+    assert peak <= 36 * 8 * n * n, peak / (8 * n * n)
 
 
 @pytest.mark.parametrize("n, length", [(32, 2 * np.pi), (64, 3.7)])

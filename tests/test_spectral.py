@@ -166,6 +166,29 @@ def test_leray_idempotent_self_adjoint(grid):
     assert grid.divergence_residual(grid.rfft(pu)) <= 1e-12
 
 
+@pytest.mark.parametrize("length", [2 * np.pi, 3.7])
+@pytest.mark.parametrize("layout", ["full", "band", "box"])
+def test_tabled_leray_matches_formula_on_every_layout(layout, length):
+    # the projector tables of each layout give the k . v formula at roundoff,
+    # keep the zero mode and leave no divergence
+    g = Grid(64, length)
+    view = {"full": g, "band": g.band, "box": g.box(8)}[layout]
+    vh = view.gather(g.rfft(np.random.default_rng(11).standard_normal((2, 64, 64))))
+    vh[:, 0, 0] = [1.5 - 0.5j, -2.0 + 0.25j]
+    kdotv = view.k1 * vh[0] + view.k2 * vh[1]
+    expect = np.stack([vh[0] - view.k1 * kdotv / view.ksq_safe,
+                       vh[1] - view.k2 * kdotv / view.ksq_safe])
+    expect[:, 0, 0] = vh[:, 0, 0]
+    got = view.leray_hat(vh)
+    assert got.shape == vh.shape == (2,) + view.k1.shape
+    assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
+    assert np.array_equal(got[:, 0, 0], vh[:, 0, 0])
+    assert view.divergence_residual(got) <= 1e-14
+    assert spectral._leray_tables(64, length, view.m) is spectral._leray_tables(64, length, view.m)
+    with pytest.raises(ValueError, match="two spectral planes"):
+        view.leray_hat(vh[:1])
+
+
 def freq_cutoff(grid, f, m):
     return grid.irfft(grid.freq_cutoff_hat(grid.rfft(f), m))
 
