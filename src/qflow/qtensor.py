@@ -102,11 +102,11 @@ def s0_square(q: np.ndarray) -> np.ndarray:
     """Pointwise proj_S0(Q^2)_a = sum_bc C_abc c_b c_c with C_abc = tr(E_a E_b E_c).
 
     Of the 125 constants C_abc, 25 are nonzero; they are collected here
-    term by term, each row written in place, with c4^2 and c5^2 taken once.
+    term by term into out's rows; c4^2 and c5^2 are taken once, into rows 3 and 4.
     """
     c1, c2, c3, c4, c5 = q
     out = np.empty_like(q)
-    sq4, sq5 = c4 * c4, c5 * c5
+    sq4, sq5 = np.multiply(c4, c4, out=out[3]), np.multiply(c5, c5, out=out[4])
     np.add((2.0 / _S6) * c1 * c2, (sq4 - sq5) / (2.0 * _S2), out=out[0])
     np.divide(c1 * c1 - c2 * c2 + c3 * c3 - 0.5 * (sq4 + sq5), _S6, out=out[1])
     np.add((2.0 / _S6) * c2 * c3, c4 * c5 / _S2, out=out[2])
@@ -154,13 +154,12 @@ def vorticity_mat(g: np.ndarray) -> np.ndarray:
 # planes; `bulk_force` is the plain pointwise bulk force the checks bound.
 
 
-def _bulk_products(q: np.ndarray, d: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Bulk-force products b proj_S0(Q^2) - c d Q, d the dealiased tr(Q^2) (scaled in place)."""
+def _bulk_products(q: np.ndarray, cd: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Bulk-force products b proj_S0(Q^2) - cd Q, cd = c times the dealiased tr(Q^2)."""
     out = s0_square(q)
     out *= p.b
-    d *= p.c
     for out_a, q_a in zip(out, q):
-        out_a -= d * q_a
+        out_a -= cd * q_a
     return out
 
 
@@ -246,7 +245,7 @@ def state_planes(grid: Grid, uh: np.ndarray, qh: np.ndarray, p: ModelParams) -> 
     """
     grid = grid.band
     q = grid.irfft(qh)
-    bulk = _bulk_products(q, grid.dealias(trace_q2(q)), p)
+    bulk = _bulk_products(q, p.c * grid.dealias(trace_q2(q)), p)
     lap = grid.irfft(grid.laplacian_hat(qh))
     return StatePlanes(grid.irfft(uh), q,
                        *(float(np.vdot(bulk, f)) * grid.cell_area for f in (q, lap)))
@@ -294,9 +293,10 @@ def nonlinear(
     uw = g.irfft(uw)
     u, omega = uw[:2], uw[2]
     lap = g.irfft(g.laplacian_hat(qh))
-    n_uh, d = _momentum_hat(g, u, omega, q, lap, dq, p)
-    bulk = _bulk_products(q, d, p)
-    del d
+    n_uh, cd = _momentum_hat(g, u, omega, q, lap, dq, p)
+    cd *= p.c
+    bulk = _bulk_products(q, cd, p)
+    del cd
     if planes:
         b_q, b_lapq = (float(np.vdot(bulk, f)) * g.cell_area for f in (q, lap))
     del lap

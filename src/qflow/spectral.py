@@ -219,14 +219,15 @@ class Grid:
         return -self.ksq * fh
 
     def leray_hat(self, vh: np.ndarray) -> np.ndarray:
-        """Project a 2-component spectral field onto divergence-free fields (see _leray_tables).
+        """Project a 2-component spectral field onto divergence-free fields by the tables of
+        _leray_tables, kept for the process on a box view, built per call on the full grid.
 
-        The zero mode is passed through unchanged (mean removal is a
-        separate, deliberate step).
+        The zero mode passes through unchanged (mean removal is a separate, deliberate step).
         """
         if vh.shape[:-2] != (2,):
             raise ValueError(f"expected two spectral planes, got shape {vh.shape}")
-        p11, p12, p22 = _leray_tables(self.n, self.length, self.m)
+        p11, p12, p22 = (_leray_tables(self) if self.m is None
+                         else _box_leray_tables(self.n, self.length, self.m))
         out = np.empty_like(vh)
         np.add(p11 * vh[0], p12 * vh[1], out=out[0])
         np.add(p12 * vh[0], p22 * vh[1], out=out[1])
@@ -312,10 +313,6 @@ class Grid:
         return (self._mag2(fh.real) + self._mag2(fh.imag)) * (
             self.parseval * (self.cell_area / self.n**2))
 
-    def power_sum(self, power: np.ndarray, weight: np.ndarray | None = None) -> float:
-        """sum(power * weight) of a power_hat table of this grid's layout."""
-        return float(np.sum(power if weight is None else power * weight))
-
     def divergence_residual(self, vh: np.ndarray) -> float:
         """max_k |k . v_hat(k)| relative to the coefficient magnitude times the
         full lattice's largest |k|, at (n/2, n/2), on either layout."""
@@ -327,13 +324,16 @@ class Grid:
         return float(kdotv.max() / scale)
 
 
-@functools.lru_cache(maxsize=16)
-def _leray_tables(n: int, length: float, m: int | None) -> np.ndarray:
-    """Read-only tables 1 - k1^2/k^2, -k1 k2/k^2, 1 - k2^2/k^2 of the layout box(m) (m = None:
-    the full grid), kept for the process: tables rebuilt per Grid fragmented the CLI's heap."""
-    grid = Grid(n, length).box(m)
+def _leray_tables(grid: Grid) -> np.ndarray:
+    """The Leray projector tables 1 - k1^2/k^2, -k1 k2/k^2, 1 - k2^2/k^2 of grid's layout."""
     k1, k2, ksq = grid.k1, grid.k2, grid.ksq_safe
-    out = np.stack([1.0 - k1 * k1 / ksq, -k1 * k2 / ksq, 1.0 - k2 * k2 / ksq])
+    return np.stack([1.0 - k1 * k1 / ksq, -k1 * k2 / ksq, 1.0 - k2 * k2 / ksq])
+
+
+@functools.lru_cache(maxsize=16)
+def _box_leray_tables(n: int, length: float, m: int) -> np.ndarray:
+    """_leray_tables of box(m), read-only; full-grid or per-Grid tables fragmented the heap."""
+    out = _leray_tables(Grid(n, length).box(m))
     out.flags.writeable = False
     return out
 

@@ -220,23 +220,22 @@ def probe_weights(grid: Grid, part: DyadicPartition, hs: tuple[float, ...] = ()
                   ) -> Weights:
     """The band weight tables of the probe channels, built once per run.
 
-    "1", "ksq", "ksq2" and "h2" hold 1, |k|^2, |k|^4 and (1 + |k|^2)^2; for
-    each s in hs, "hs<tag>", "hs<tag>_ksq" and "hs<tag>_ksq2" hold the H^s
-    weight of part, w_s, times 1, |k|^2 and |k|^4.  Each is the expression
-    the channel reads, evaluated on gathered tables.
+    "ksq", "ksq2" and "h2" hold |k|^2, |k|^4 and (1 + |k|^2)^2; for each s in
+    hs, "hs<tag>", "hs<tag>_ksq" and "hs<tag>_ksq2" hold the H^s weight of
+    part, w_s, times 1, |k|^2 and |k|^4.  Each is the expression the channel
+    reads, evaluated on gathered tables.
     """
     ksq = grid.band.ksq
-    out = {"1": np.ones_like(ksq), "ksq": ksq, "ksq2": ksq**2, "h2": (1.0 + ksq) ** 2}
+    out = {"ksq": ksq, "ksq2": ksq**2, "h2": (1.0 + ksq) ** 2}
     for sv in hs:
         w, tag = grid.band.gather(part.sobolev_weight(sv)), _hs_tag(sv)
         out[f"hs{tag}"], out[f"hs{tag}_ksq"], out[f"hs{tag}_ksq2"] = w, w * ksq, w * ksq**2
     return tuple(out), np.stack(list(out.values()))
 
 
-def _weighted_sums(grid: Grid, weights: Weights, *fields: np.ndarray) -> list[dict[str, float]]:
-    """Each field's sum(power_hat(f) * w) for every table w of weights, by name, as one product."""
+def _weighted_sums(weights: Weights, power: np.ndarray) -> list[dict[str, float]]:
+    """sum(row * w), by name, of each flat power_hat row of power for each table w of weights."""
     names, table = weights
-    power = np.stack([grid.power_hat(f).ravel() for f in fields])
     return [dict(zip(names, row)) for row in (power @ table.reshape(len(names), -1).T).tolist()]
 
 
@@ -256,7 +255,7 @@ def standard_probes(
     norms and the P(Q) pairings come from the record's quadratures.
     """
     g = grid.band
-    su, sq = _weighted_sums(g, weights, uh, qh)
+    su, sq = _weighted_sums(weights, np.stack([g.power_hat(f).ravel() for f in (uh, qh)]))
 
     out: dict[str, float] = {}
     out["l2_u2"] = g.inner(s.u, s.u)
@@ -476,24 +475,25 @@ def _twin_probes(grid: Grid, weights: Weights, a: tuple[np.ndarray, np.ndarray],
     """Twin channels of the members a = (uh, qh) and b from their band coefficients.
 
     weights is probe_weights(grid, part, (-0.5,)), with the H^{-1/2} weight
-    tables; the differences are taken as b - a.  Every channel comes from
-    one _weighted_sums product over the six fields' power spectra.
+    tables; the differences are taken as b - a.  Of the six stacked power spectra, the sums
+    are the L^2 channels, and _weighted_sums gives every weighted channel as one product.
     """
-    du, dq, u1, q1, u2, q2 = _weighted_sums(grid.band, weights, b[0] - a[0], b[1] - a[1],
-                                            *a, *b)
+    power = np.stack([grid.band.power_hat(f).ravel() for f in (b[0] - a[0], b[1] - a[1], *a, *b)])
+    du, dq, u1, q1, u2, q2 = (dict(s, l2=l2) for s, l2 in
+                              zip(_weighted_sums(weights, power), power.sum(-1).tolist()))
     out: dict[str, float] = {}
     out["du_hm2"] = du["hsm0p5"]
     out["gdq_hm2"] = dq["hsm0p5_ksq"]
     out["phi"] = 0.5 * out["du_hm2"] + p.L * out["gdq_hm2"]
     out["gdu_hm2"] = du["hsm0p5_ksq"]
     out["lapdq_hm2"] = dq["hsm0p5_ksq2"]
-    out["du_l22"] = du["1"]
+    out["du_l22"] = du["l2"]
     out["gdu_l22"] = du["ksq"]
-    out["dq_l22"] = dq["1"]
+    out["dq_l22"] = dq["l2"]
 
     for tag, su, sq in (("1", u1, q1), ("2", u2, q2)):
-        out[f"u{tag}_l22"] = su["1"]
-        out[f"q{tag}_l22"] = sq["1"]
+        out[f"u{tag}_l22"] = su["l2"]
+        out[f"q{tag}_l22"] = sq["l2"]
         out[f"gu{tag}_l22"] = su["ksq"]
         out[f"gq{tag}_l22"] = sq["ksq"]
         out[f"lq{tag}_l22"] = sq["ksq2"]

@@ -122,7 +122,7 @@ def _stress_div_hat(grid: Grid, sh: np.ndarray) -> np.ndarray:
 
 def dealiased_bulk_force(grid: Grid, q: np.ndarray, p: ModelParams) -> np.ndarray:
     """bulk_force with its products dealiased (two-thirds rule, tr(Q^2) first)."""
-    return -p.a * q + grid.dealias(_bulk_products(q, grid.dealias(trace_q2(q)), p))
+    return -p.a * q + grid.dealias(_bulk_products(q, p.c * grid.dealias(trace_q2(q)), p))
 
 
 def corotation(grid: Grid, q: np.ndarray, u: np.ndarray, dealias: bool = True) -> np.ndarray:

@@ -170,7 +170,8 @@ def test_leray_idempotent_self_adjoint(grid):
 @pytest.mark.parametrize("layout", ["full", "band", "box"])
 def test_tabled_leray_matches_formula_on_every_layout(layout, length):
     # the projector tables of each layout give the k . v formula at roundoff,
-    # keep the zero mode and leave no divergence
+    # keep the zero mode and leave no divergence; a view's tables, kept for the
+    # process, are the full grid's gathered bit for bit
     g = Grid(64, length)
     view = {"full": g, "band": g.band, "box": g.box(8)}[layout]
     vh = view.gather(g.rfft(np.random.default_rng(11).standard_normal((2, 64, 64))))
@@ -184,7 +185,12 @@ def test_tabled_leray_matches_formula_on_every_layout(layout, length):
     assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
     assert np.array_equal(got[:, 0, 0], vh[:, 0, 0])
     assert view.divergence_residual(got) <= 1e-14
-    assert spectral._leray_tables(64, length, view.m) is spectral._leray_tables(64, length, view.m)
+    tables = spectral._leray_tables(view)
+    assert np.array_equal(tables, view.gather(spectral._leray_tables(g)))
+    if view.m is not None:
+        kept = spectral._box_leray_tables(64, length, view.m)
+        assert kept is spectral._box_leray_tables(64, length, view.m)
+        assert np.array_equal(kept, tables) and not kept.flags.writeable
     with pytest.raises(ValueError, match="two spectral planes"):
         view.leray_hat(vh[:1])
 
@@ -314,8 +320,8 @@ def test_box_views():
 @pytest.mark.parametrize("n, length", [(16, 2 * np.pi), (32, 3.7)])
 def test_band_multipliers_match_gathered_full_layout(n, length):
     # every multiplier on band arrays equals the gathered full-layout result
-    # value for value; power_sum sums the band table it is given, and agrees
-    # with the full-layout sum at roundoff (the two add in different orders);
+    # value for value; the band power table's weighted sum agrees with the
+    # full-layout sum at roundoff (the two add in different orders);
     # both layouts scale the divergence residual by the full lattice's largest |k|
     g = Grid(n, length=length)
     band = g.band
@@ -334,10 +340,9 @@ def test_band_multipliers_match_gathered_full_layout(n, length):
     power = band.power_hat(bh)
     assert np.array_equal(power, band.gather(g.power_hat(full)))
     weight = g.ksq**2
-    for bw, w in ((band.gather(weight), weight), (None, None)):
-        got = band.power_sum(power, bw)
-        assert got == float(np.sum(power if bw is None else power * bw))
-        ref = g.power_sum(g.power_hat(full), w)
+    for bw, w in ((band.gather(weight), weight), (1.0, 1.0)):
+        got = float(np.sum(power * bw))
+        ref = float(np.sum(g.power_hat(full) * w))
         assert abs(got - ref) <= 1e-14 * ref
     inner = g.inner_hat(full, full, weight)
     assert abs(band.inner_hat(bh, bh, band.gather(weight)) - inner) <= 1e-14 * inner

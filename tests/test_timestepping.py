@@ -499,7 +499,7 @@ def test_coefficient_channels_match_physical_quadrature(n, length, n_cutoff):
         close(row["hs0p5_lapq2"], g.inner_hat(qh, qh, w * g.ksq**2))
         assert g.divergence_residual(uh) <= 1e-12
         # the P(Q) pairings, taken by quadrature, against the spectral pairing
-        pqh = g.dealias_mask * g.rfft(_bulk_products(st.q, g.dealias(trace_q2(st.q)), p)) - p.a * qh
+        pqh = g.dealias_mask * g.rfft(_bulk_products(st.q, p.c * g.dealias(trace_q2(st.q)), p)) - p.a * qh
         for key, want in (("pq_q", g.inner_hat(pqh, qh)),
                           ("pq_lapq", -g.inner_hat(pqh, qh, g.ksq))):
             assert abs(row[key] - want) <= 1e-13 * abs(want), (key, row[key], want)
