@@ -271,7 +271,7 @@ def nonlinear(
     C = (Q lapQ - lapQ Q)_12 (see _momentum_hat).  Each differs from the
     model's form by a gradient, so the two agree on in-band fields, where
     two-thirds-rule products are exact.  One call transforms the 23
-    physical planes in four inverses (d1 Q and d2 Q; Q; u and omega; lap Q),
+    physical planes in four inverses (u and omega; d1 Q and d2 Q; Q; lap Q),
     evaluates the closed-form S0 products, and transforms back the summed
     products with one dealias mask per output: 5 planes for N_Q, and the 3
     momentum planes with tr(Q^2), which the cubic term reads dealiased
@@ -285,13 +285,13 @@ def nonlinear(
     """
     g = grid.band
     uh_cut = uh if p.n_cutoff is None else g.freq_cutoff_hat(uh, p.n_cutoff)
-    dq = g.gradient(qh)
-    q = g.irfft(qh)
-    uw = np.empty((3,) + uh.shape[1:], dtype=complex)
+    uw = np.empty((3,) + uh.shape[1:], dtype=complex)  # first: the order with the lowest peak RSS
     uw[:2] = uh_cut
     np.subtract(g.deriv_hat(uh_cut[1], 1), g.deriv_hat(uh_cut[0], 2), out=uw[2])
     uw = g.irfft(uw)
     u, omega = uw[:2], uw[2]
+    dq = g.gradient(qh)
+    q = g.irfft(qh)
     lap = g.irfft(g.laplacian_hat(qh))
     n_uh, cd = _momentum_hat(g, u, omega, q, lap, dq, p)
     cd *= p.c
